@@ -37,9 +37,6 @@ echo "==> supervision gate (panic containment, deterministic restart, breakers, 
 cargo test -q --test supervision
 cargo run -q --release --example supervision -- --quick
 
-echo "==> perf-smoke gate (ingest transports: SPSC ring >= 2x Mutex at N=64, drop ledger balanced)"
-cargo run -q --release -p kleb-bench --bin ingest_perf -- --quick
-
 echo "==> governor gate (closed-loop rate control beats the best coverage-matching fixed period)"
 cargo run -q --release -p kleb-bench --bin governor_perf -- --quick
 cargo run -q --release --example rate_governor -- --quick

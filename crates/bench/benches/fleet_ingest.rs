@@ -1,13 +1,11 @@
 //! Fleet store ingestion cost: the collector's hot path, isolated.
 //!
 //! Measures `FleetStore::ingest` throughput for batches fanning out to
-//! five lanes (three fixed + two events), and both transports' send/recv
-//! pair under the Block policy — the Mutex channel and the SPSC ring
-//! fan-in side by side, so a regression in either (or the gap between
-//! them) shows up in one run.
+//! five lanes (three fixed + two events), and the SPSC ring fan-in's
+//! send/poll pair under the Block policy.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use fleet::{bounded, ring_fanin, Backpressure, FleetStore, Polled};
+use fleet::{ring_fanin, Backpressure, FleetStore, Polled};
 use kleb::Sample;
 use pmu::HwEvent;
 
@@ -44,21 +42,6 @@ fn bench_store_ingest(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_channel_roundtrip(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fleet_channel_roundtrip");
-    let batch_len = 256u64;
-    group.throughput(Throughput::Elements(batch_len));
-    let samples = batch(batch_len);
-    group.bench_function("send_recv_256", |b| {
-        let (tx, rx) = bounded(1, 64, Backpressure::Block);
-        b.iter(|| {
-            tx[0].send(samples.clone());
-            rx.recv().expect("batch queued")
-        });
-    });
-    group.finish();
-}
-
 fn bench_ring_roundtrip(c: &mut Criterion) {
     let mut group = c.benchmark_group("fleet_ring_roundtrip");
     let batch_len = 256u64;
@@ -77,10 +60,5 @@ fn bench_ring_roundtrip(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_store_ingest,
-    bench_channel_roundtrip,
-    bench_ring_roundtrip
-);
+criterion_group!(benches, bench_store_ingest, bench_ring_roundtrip);
 criterion_main!(benches);

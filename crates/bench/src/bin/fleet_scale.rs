@@ -1,8 +1,9 @@
-//! Fleet scaling sweep: collector throughput as the fleet grows.
+//! Fleet scaling sweep: fleet throughput as the fleet grows.
 //!
 //! Runs the fleet pipeline at N = 1..64 machines under the lossless Block
-//! policy and reports per-N ingestion throughput, channel depth, and drop
-//! counts (which must stay zero: Block never sheds samples). Usage:
+//! policy and reports per-N throughput over the whole run (spawn to
+//! join), ring depth in samples, and drop counts (which must stay zero:
+//! Block never sheds samples). Usage:
 //! `fleet_scale [--quick|--full] [--seed N]`.
 
 use analysis::TextTable;

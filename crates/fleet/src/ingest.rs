@@ -1,12 +1,9 @@
 //! The lock-free ingest fan-in: one SPSC ring per machine.
 //!
-//! The shared [`crate::channel`] queue pays a `Mutex` round-trip (and
-//! under contention a futex syscall) for every batch on both ends. This
-//! module replaces that fan-in with one [`kchan`] single-producer/
-//! single-consumer ring per machine: each monitor thread publishes its
-//! drained batches into its own ring with a single release store, and
-//! the collector sweeps the rings round-robin with a single acquire load
-//! per ring — no locks anywhere on the data path.
+//! Each monitor thread publishes its drained batches into its own
+//! [`kchan`] single-producer/single-consumer ring with a single release
+//! store, and the collector sweeps the rings round-robin with a single
+//! acquire load per ring — no locks anywhere on the data path.
 //!
 //! The collector still parks when there is nothing to do, but only when
 //! *all* rings are empty, through a one-directional doorbell: it raises
@@ -20,20 +17,9 @@
 //! for the remaining pathological schedules, costing at worst one poll
 //! interval of latency, never a lost sample.
 //!
-//! Accounting is ledger-compatible with [`ChannelStats`]: per stream,
-//! `sent = pushed + dropped` and everything pushed is eventually
-//! `delivered`, so `sent == delivered + dropped` once the run drains.
-//! Two deliberate semantic differences from the Mutex channel, both
-//! outside the determinism contract (see [`crate::runner::FleetOutcome::digest`]):
-//!
-//! - `depth_high_water` is measured in *samples* (the rings hold
-//!   samples, not batches).
-//! - With per-stream rings, the oldest queued data in a full ring
-//!   belongs to the *sending* stream, so [`Backpressure::DropOldest`]
-//!   and [`Backpressure::DropNewest`] converge: the overflow is
-//!   discarded and charged to the sender. The runner's documented
-//!   contract under the Drop policies — exact per-stream accounting,
-//!   not a particular surviving set — is unchanged.
+//! Accounting is kept per stream in [`ChannelStats`]: `sent = pushed +
+//! dropped` and everything pushed is eventually `delivered`, so `sent ==
+//! delivered + dropped` once the run drains.
 
 use std::sync::Arc;
 
@@ -43,20 +29,45 @@ use crate::ksync::{
     backoff_sleep, backoff_yield, fence, AtomicBool, AtomicU64, Condvar, Mutex, Ordering,
 };
 
-use crate::channel::{Backpressure, ChannelStats};
+/// What [`RingSender::send`] does when its stream's ring is full — the
+/// same decision K-LEB's kernel module faces when its ring buffer
+/// outruns the controller (there it pauses; here the fleet makes the
+/// trade-off explicit and accounts every dropped sample per stream).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Backpressure {
+    /// Wait until the collector makes room. Lossless; the monitoring
+    /// thread stalls (the kernel module's "safety stop", one level up).
+    Block,
+    /// Keep what fits and discard the rest of the incoming batch.
+    /// Bounded work; the sending stream is charged the drop.
+    DropNewest,
+}
 
-/// Which fan-in carries drained batches from the machines to the
-/// collector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Transport {
-    /// One lock-free SPSC ring per machine (this module). The default.
-    #[default]
-    SpscRing,
-    /// The shared `Mutex`+`Condvar` queue ([`crate::channel`]). Kept as
-    /// the reference implementation: digest-equality against it is the
-    /// proof that the ring path is observationally pure, and the bench
-    /// suite measures both in the same run.
-    MutexChannel,
+/// Counter snapshot for the whole fan-in.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ChannelStats {
+    /// Samples offered to the fan-in, per stream.
+    pub sent: Vec<u64>,
+    /// Samples dropped by backpressure, per stream.
+    pub dropped: Vec<u64>,
+    /// Samples handed to the collector, per stream.
+    pub delivered: Vec<u64>,
+    /// Deepest any single stream's ring ever got, in samples.
+    pub depth_high_water: usize,
+    /// Total times a sender blocked waiting for room (Block policy).
+    pub block_waits: u64,
+}
+
+impl ChannelStats {
+    /// Total samples dropped across all streams.
+    pub fn total_dropped(&self) -> u64 {
+        self.dropped.iter().sum()
+    }
+
+    /// Total samples offered across all streams.
+    pub fn total_sent(&self) -> u64 {
+        self.sent.iter().sum()
+    }
 }
 
 /// The collector-side doorbell producers ring when they publish into an
@@ -144,7 +155,7 @@ pub struct RingSender {
 impl RingSender {
     /// Publishes one drained batch under the backpressure policy.
     ///
-    /// Empty batches are a no-op, matching [`crate::channel::Sender`].
+    /// Empty batches are a no-op.
     pub fn send(&mut self, samples: &[Sample]) {
         if samples.is_empty() {
             return;
@@ -179,9 +190,7 @@ impl RingSender {
                     }
                 }
             }
-            // Per-stream rings make the two Drop policies equivalent (see
-            // the module docs): discard the overflow, charge the sender.
-            Backpressure::DropOldest | Backpressure::DropNewest => {
+            Backpressure::DropNewest => {
                 let accepted = self.producer.try_push(samples);
                 self.producer
                     .mark_dropped((samples.len() - accepted) as u64);
@@ -209,10 +218,9 @@ impl Drop for RingSender {
     }
 }
 
-/// What [`RingCollector::poll`] observed — the ring-transport analogue
-/// of [`crate::channel::RecvTimeout`], with the samples delivered
-/// through the caller's reusable scratch buffer instead of a fresh
-/// allocation per batch.
+/// What [`RingCollector::poll`] observed. The samples themselves arrive
+/// in the caller's reusable scratch buffer, not a fresh allocation per
+/// batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Polled {
     /// Samples arrived: the scratch buffer holds them, in stream order.
@@ -272,8 +280,8 @@ impl RingCollector {
 
     /// Collects the next available samples into `scratch` (cleared
     /// first), waiting at most `timeout` while every ring is empty. The
-    /// timeout is the collector's watchdog heartbeat, exactly like
-    /// [`crate::channel::Receiver::recv_timeout`].
+    /// timeout is the collector's watchdog heartbeat: a
+    /// [`Polled::Timeout`] means no machine has produced anything lately.
     pub fn poll(&mut self, timeout: std::time::Duration, scratch: &mut Vec<Sample>) -> Polled {
         scratch.clear();
         if let Some(machine) = self.sweep(scratch) {
@@ -335,9 +343,8 @@ impl RingCollector {
         polled
     }
 
-    /// A snapshot of the fan-in counters, ledger-compatible with the
-    /// Mutex channel's: per stream, `sent = pushed + dropped`, and once
-    /// drained `sent == delivered + dropped`.
+    /// A snapshot of the fan-in counters: per stream, `sent = pushed +
+    /// dropped`, and once drained `sent == delivered + dropped`.
     pub fn stats(&mut self) -> ChannelStats {
         ChannelStats {
             sent: self
@@ -411,27 +418,41 @@ mod tests {
     }
 
     #[test]
-    fn drop_policies_charge_the_sender_and_close_the_books() {
-        for policy in [Backpressure::DropOldest, Backpressure::DropNewest] {
-            let (mut tx, mut rx) = ring_fanin(1, 4, policy);
-            tx[0].send(&batch_of(3));
-            tx[0].send(&batch_of(4)); // 1 slot free: 3 samples overflow
-            drop(tx);
-            let mut scratch = Vec::new();
-            let mut delivered = 0;
-            loop {
-                match rx.poll(POLL, &mut scratch) {
-                    Polled::Batch { .. } => delivered += scratch.len() as u64,
-                    Polled::Timeout => continue,
-                    Polled::Disconnected => break,
-                }
+    fn drop_newest_charges_the_sender_and_closes_the_books() {
+        let (mut tx, mut rx) = ring_fanin(1, 4, Backpressure::DropNewest);
+        tx[0].send(&batch_of(3));
+        tx[0].send(&batch_of(4)); // 1 slot free: 3 samples overflow
+        drop(tx);
+        let mut scratch = Vec::new();
+        let mut delivered = 0;
+        loop {
+            match rx.poll(POLL, &mut scratch) {
+                Polled::Batch { .. } => delivered += scratch.len() as u64,
+                Polled::Timeout => continue,
+                Polled::Disconnected => break,
             }
-            let stats = rx.stats();
-            assert_eq!(stats.sent, vec![7], "{policy:?}");
-            assert_eq!(stats.dropped, vec![3], "{policy:?}");
-            assert_eq!(stats.delivered, vec![delivered], "{policy:?}");
-            assert_eq!(stats.sent[0], stats.delivered[0] + stats.dropped[0]);
         }
+        let stats = rx.stats();
+        assert_eq!(stats.sent, vec![7]);
+        assert_eq!(stats.dropped, vec![3]);
+        assert_eq!(stats.delivered, vec![delivered]);
+        assert_eq!(stats.sent[0], stats.delivered[0] + stats.dropped[0]);
+    }
+
+    #[test]
+    fn depth_high_water_is_sticky_and_counted_in_samples() {
+        let (mut tx, mut rx) = ring_fanin(2, 64, Backpressure::Block);
+        tx[0].send(&batch_of(3));
+        tx[0].send(&batch_of(2)); // ring 0: two batches, five samples
+        tx[1].send(&batch_of(4));
+        let mut scratch = Vec::new();
+        for _ in 0..2 {
+            assert!(matches!(rx.poll(POLL, &mut scratch), Polled::Batch { .. }));
+        }
+        assert_eq!(rx.stats().depth_high_water, 5, "deepest ring, in samples");
+        tx[1].send(&batch_of(1));
+        assert_eq!(rx.poll(POLL, &mut scratch), Polled::Batch { machine: 1 });
+        assert_eq!(rx.stats().depth_high_water, 5, "high-water is sticky");
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! process on one machine. This crate scales that architecture out:
 //! [`FleetRunner`] drives N independent simulated machines on OS
 //! threads, each with its own seeded RNG, workload, and K-LEB monitor;
-//! their sample batches stream through a bounded [`channel`] with an
-//! explicit [`Backpressure`] policy into a sharded [`FleetStore`], where
+//! their sample batches stream through one lock-free SPSC ring per
+//! machine ([`ingest`]) with an explicit [`Backpressure`] policy into a
+//! sharded [`FleetStore`], where
 //! windowed queries and the [`detect`] fan-in pass operate across the
 //! fleet. The pipeline observes itself through [`FleetMetrics`], and the
 //! [`governor`] module can hold the whole fleet inside an aggregate
@@ -33,7 +34,6 @@
 //! # Ok::<(), fleet::FleetError>(())
 //! ```
 
-pub mod channel;
 pub mod clock;
 pub mod detect;
 pub mod governor;
@@ -45,11 +45,10 @@ pub mod store;
 pub mod supervisor;
 pub mod watchdog;
 
-pub use channel::{bounded, Backpressure, Batch, ChannelStats, Receiver, RecvTimeout, Sender};
 pub use clock::{Clock, MonotonicClock, TickClock};
 pub use detect::{scan_fleet, verdict_table, AnomalyConfig, FleetAnomalyReport, MachineVerdict};
 pub use governor::{GovernorPolicy, GovernorReport};
-pub use ingest::{ring_fanin, Polled, RingCollector, RingSender, Transport};
+pub use ingest::{ring_fanin, Backpressure, ChannelStats, Polled, RingCollector, RingSender};
 pub use metrics::{FleetMetrics, LatencyHistogram};
 pub use runner::{
     FleetConfig, FleetConfigBuilder, FleetError, FleetOutcome, FleetRunner, MachineReport,

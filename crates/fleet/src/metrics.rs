@@ -87,7 +87,7 @@ pub struct FleetMetrics {
     governor_retunes: AtomicU64,
     governor_clamps: AtomicU64,
     governor_oscillations: AtomicU64,
-    /// Wall time from a batch leaving the queue to its samples resting in
+    /// Wall time from a batch leaving its ring to its samples resting in
     /// the store.
     drain_latency: LatencyHistogram,
 }
@@ -165,9 +165,8 @@ impl FleetMetrics {
             .fetch_add(oscillations, Ordering::Relaxed);
     }
 
-    /// Raises the recorded fan-in depth high-water mark to `depth`.
-    /// The unit depends on the transport: batches for the Mutex
-    /// channel, samples for the SPSC rings (which queue samples).
+    /// Raises the recorded fan-in depth high-water mark to `depth`
+    /// samples.
     pub fn observe_depth_hwm(&self, depth: u64) {
         self.channel_depth_hwm.fetch_max(depth, Ordering::Relaxed);
     }
@@ -192,7 +191,7 @@ impl FleetMetrics {
         self.samples_rejected.load(Ordering::Relaxed)
     }
 
-    /// Deepest the channel ever got, in batches.
+    /// Deepest any stream's ring ever got, in samples.
     pub fn channel_depth_hwm(&self) -> u64 {
         self.channel_depth_hwm.load(Ordering::Relaxed)
     }
@@ -274,9 +273,7 @@ impl FleetMetrics {
         ]);
         t.row_owned(vec![
             "channel depth high-water".into(),
-            // Unit depends on the transport (batches for the Mutex
-            // channel, samples for the rings), so render the bare count.
-            self.channel_depth_hwm().to_string(),
+            format!("{} samples", self.channel_depth_hwm()),
         ]);
         t.row_owned(vec![
             "stream stalls".into(),

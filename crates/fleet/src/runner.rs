@@ -3,34 +3,33 @@
 //! [`FleetRunner`] spins one OS thread per [`MachineSpec`]. Each thread
 //! builds its own [`ksim::Machine`] from the spec's seed, runs the
 //! workload under a K-LEB [`kleb::Monitor`], and streams every drained
-//! batch into the configured fan-in — one lock-free SPSC ring per
-//! machine by default ([`crate::ingest`]), or the shared bounded
-//! channel as the reference path — through the controller's
-//! [`kleb::SampleSink`] hook. The calling thread is the collector: it
-//! drains batches into the [`FleetStore`] and updates [`FleetMetrics`].
+//! batch into its own lock-free SPSC ring ([`crate::ingest`]) through
+//! the controller's [`kleb::SampleSink`] hook. The calling thread is the
+//! collector: it drains the rings into the [`FleetStore`] and updates
+//! [`FleetMetrics`].
 //!
 //! Determinism contract: each machine's sample stream is a pure function
 //! of its seed and workload — threads only vary the *interleaving* of
 //! batches, and per-stream FIFO order is preserved, so under
 //! [`Backpressure::Block`] (lossless) the per-machine store contents are
-//! bit-for-bit reproducible across runs. Under the two Drop policies,
-//! *which* samples survive depends on real-time interleaving; only the
-//! per-stream accounting is guaranteed, not the surviving set.
+//! bit-for-bit reproducible across runs. Under
+//! [`Backpressure::DropNewest`], *which* samples survive depends on
+//! real-time interleaving; only the per-stream accounting is guaranteed,
+//! not the surviving set.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use kleb::{KlebTuning, Monitor, MonitorOutcome, Sample, SampleSink};
+use kleb::{KlebTuning, Monitor, MonitorOutcome, Sample};
 use ksim::{
     CoreId, Duration, Instant, Machine, MachineConfig, Pid, ProcessInfo, ProcessState, Workload,
 };
 use ktrace::{stream_file_name, RecoveredStream, StreamMeta};
 use pmu::{EventCounts, HwEvent};
 
-use crate::channel::{bounded, Backpressure, ChannelStats, RecvTimeout, Sender};
 use crate::clock::{Clock, MonotonicClock};
 use crate::governor::{GovernorPolicy, GovernorReport};
-use crate::ingest::{ring_fanin, Polled, RingCollector, RingSender, Transport};
+use crate::ingest::{ring_fanin, Backpressure, ChannelStats, Polled, RingCollector};
 use crate::metrics::FleetMetrics;
 use crate::store::FleetStore;
 use crate::supervisor::{
@@ -46,6 +45,12 @@ const _: () = {
     assert_send::<Machine>();
     assert_send::<Monitor>();
 };
+
+/// Per-stream ring capacity, in samples.
+const RING_CAPACITY: usize = 64 * 1024;
+
+/// Per-shard point capacity of the store.
+const SHARD_CAPACITY: usize = 64 * 1024;
 
 /// Builds a workload inside the machine's thread, from the spec's seed.
 ///
@@ -107,7 +112,7 @@ impl std::fmt::Debug for MachineSpec {
 ///
 /// ```ignore
 /// let config = FleetConfig::builder(&events, period)
-///     .transport(Transport::SpscRing)
+///     .backpressure(Backpressure::DropNewest)
 ///     .persist("/tmp/traces")
 ///     .govern(GovernorPolicy::new().budget(50_000))
 ///     .build();
@@ -124,19 +129,8 @@ pub struct FleetConfig {
     pub period: Duration,
     /// Module cost tuning.
     pub tuning: KlebTuning,
-    /// Which fan-in carries batches to the collector: lock-free SPSC
-    /// rings (default) or the reference Mutex channel. The two are
-    /// digest-identical for seeded runs; see [`crate::ingest`].
-    pub transport: Transport,
-    /// Channel capacity, in batches ([`Transport::MutexChannel`] only).
-    pub channel_capacity: usize,
-    /// Per-stream ring capacity, in samples ([`Transport::SpscRing`]
-    /// only; rounded up to a power of two).
-    pub ring_capacity: usize,
-    /// What a full channel does.
+    /// What a full per-machine ring does.
     pub backpressure: Backpressure,
-    /// Per-shard point capacity of the store.
-    pub shard_capacity: usize,
     /// Machine hardware model, built from the spec's seed.
     pub machine_config: fn(u64) -> MachineConfig,
     /// Fault plan injected into every machine (overriding whatever
@@ -177,19 +171,14 @@ pub struct FleetConfig {
 
 impl FleetConfig {
     /// The default config: `events` sampled every `period` on
-    /// i7-920-class machines, lossless backpressure, 64-batch channel,
-    /// 64Ki-point shards, no faults, no governor. Use
-    /// [`FleetConfig::builder`] to override anything.
+    /// i7-920-class machines, lossless backpressure, no faults, no
+    /// governor. Use [`FleetConfig::builder`] to override anything.
     pub fn new(events: &[HwEvent], period: Duration) -> Self {
         Self {
             events: events.to_vec(),
             period,
             tuning: KlebTuning::default(),
-            transport: Transport::default(),
-            channel_capacity: 64,
-            ring_capacity: 64 * 1024,
             backpressure: Backpressure::Block,
-            shard_capacity: 64 * 1024,
             machine_config: MachineConfig::i7_920,
             faults: None,
             stall_timeout: std::time::Duration::from_secs(2),
@@ -230,30 +219,6 @@ impl FleetConfigBuilder {
     /// Overrides the backpressure policy.
     pub fn backpressure(mut self, policy: Backpressure) -> Self {
         self.config.backpressure = policy;
-        self
-    }
-
-    /// Overrides the fan-in transport.
-    pub fn transport(mut self, transport: Transport) -> Self {
-        self.config.transport = transport;
-        self
-    }
-
-    /// Overrides the channel capacity (batches; Mutex transport).
-    pub fn channel_capacity(mut self, batches: usize) -> Self {
-        self.config.channel_capacity = batches;
-        self
-    }
-
-    /// Overrides the per-stream ring capacity (samples; ring transport).
-    pub fn ring_capacity(mut self, samples: usize) -> Self {
-        self.config.ring_capacity = samples;
-        self
-    }
-
-    /// Overrides the per-shard point capacity.
-    pub fn shard_capacity(mut self, points: usize) -> Self {
-        self.config.shard_capacity = points;
         self
     }
 
@@ -384,7 +349,8 @@ pub struct FleetOutcome {
     pub machines: Vec<MachineReport>,
     /// Per-machine supervision health, parallel to `machines`.
     pub health: Vec<HealthReport>,
-    /// Channel counters (per-stream sent/dropped/delivered, depth HWM).
+    /// Fan-in counters (per-stream sent/dropped/delivered, depth HWM in
+    /// samples).
     pub channel: ChannelStats,
     /// The collector's self-metrics.
     pub metrics: Arc<FleetMetrics>,
@@ -395,7 +361,9 @@ pub struct FleetOutcome {
     /// configured and allocated base periods plus the live governor's
     /// counters (all idle when the fleet ran ungoverned).
     pub governors: Vec<GovernorReport>,
-    /// Collector wall-clock time, for rate reporting.
+    /// Run time on the configured [`Clock`], from before the first
+    /// machine thread is spawned to after the last one is joined, for
+    /// rate reporting.
     pub elapsed: std::time::Duration,
 }
 
@@ -475,9 +443,9 @@ impl FleetOutcome {
     /// A byte digest of everything a run produced that is *deterministic
     /// by contract*: per-machine sample streams (wire encoding), module
     /// status, recovery stats, programmed events, the store's ingested
-    /// points, per-stream channel accounting, and the watchdog's
+    /// points, per-stream fan-in accounting, and the watchdog's
     /// episode counters. Wall-clock-dependent values (elapsed, ingest
-    /// latency, queue depth, block waits) are excluded.
+    /// latency, ring depth, block waits) are excluded.
     ///
     /// Replaying a recorded run must reproduce this byte-for-byte —
     /// that equality is the regression-testing contract.
@@ -579,69 +547,6 @@ impl FleetOutcome {
     }
 }
 
-/// One stream's sending end, whichever transport is configured.
-#[derive(Debug)]
-pub(crate) enum StreamTx {
-    Mutex(Sender),
-    Ring(RingSender),
-}
-
-impl StreamTx {
-    pub(crate) fn send(&mut self, samples: &[Sample]) {
-        match self {
-            StreamTx::Mutex(tx) => tx.send(samples.to_vec()),
-            StreamTx::Ring(tx) => tx.send(samples),
-        }
-    }
-}
-
-/// The collector's receiving end, whichever transport is configured.
-#[derive(Debug)]
-enum FanIn {
-    Mutex(crate::channel::Receiver),
-    Ring(RingCollector),
-}
-
-impl FanIn {
-    /// Unified poll: on [`Polled::Batch`], `scratch` holds the samples.
-    /// The ring path fills the caller's buffer directly; the Mutex path
-    /// moves the received batch's allocation into it.
-    fn poll(&mut self, timeout: std::time::Duration, scratch: &mut Vec<Sample>) -> Polled {
-        match self {
-            FanIn::Mutex(rx) => match rx.recv_timeout(timeout) {
-                RecvTimeout::Batch(batch) => {
-                    *scratch = batch.samples;
-                    Polled::Batch {
-                        machine: batch.machine,
-                    }
-                }
-                RecvTimeout::Timeout => Polled::Timeout,
-                RecvTimeout::Disconnected => Polled::Disconnected,
-            },
-            FanIn::Ring(rx) => rx.poll(timeout, scratch),
-        }
-    }
-
-    fn stats(&mut self) -> ChannelStats {
-        match self {
-            FanIn::Mutex(rx) => rx.stats(),
-            FanIn::Ring(rx) => rx.stats(),
-        }
-    }
-}
-
-/// Streams one monitor's drained batches into the fleet fan-in.
-#[derive(Debug)]
-struct ChannelSink {
-    tx: StreamTx,
-}
-
-impl SampleSink for ChannelSink {
-    fn on_batch(&mut self, samples: &[Sample]) {
-        self.tx.send(samples);
-    }
-}
-
 /// Runs fleets described by a [`FleetConfig`].
 #[derive(Debug, Clone)]
 pub struct FleetRunner {
@@ -654,32 +559,9 @@ impl FleetRunner {
         Self { config }
     }
 
-    /// Builds the configured fan-in for `n` streams: one sending end per
-    /// stream (stream `i` = spec `i`) plus the collector end.
-    fn make_fanin(&self, n: usize) -> (Vec<StreamTx>, FanIn) {
-        match self.config.transport {
-            Transport::MutexChannel => {
-                let (senders, receiver) =
-                    bounded(n, self.config.channel_capacity, self.config.backpressure);
-                (
-                    senders.into_iter().map(StreamTx::Mutex).collect(),
-                    FanIn::Mutex(receiver),
-                )
-            }
-            Transport::SpscRing => {
-                let (senders, collector) =
-                    ring_fanin(n, self.config.ring_capacity, self.config.backpressure);
-                (
-                    senders.into_iter().map(StreamTx::Ring).collect(),
-                    FanIn::Ring(collector),
-                )
-            }
-        }
-    }
-
     /// Runs every spec to completion, collecting samples concurrently.
     ///
-    /// Blocks until all machine threads have exited and the channel is
+    /// Blocks until all machine threads have exited and every ring is
     /// fully drained. Every machine runs under the configured
     /// [`SupervisorPolicy`]: panics are contained, restarts consume the
     /// budget, and a terminal failure degrades the outcome instead of
@@ -713,12 +595,13 @@ impl FleetRunner {
             Some(policy) => policy.allocate(self.config.period.as_nanos(), &weights),
             None => vec![self.config.period.as_nanos(); n],
         };
-        let (mut senders, receiver) = self.make_fanin(n);
+        // `elapsed` starts before the first spawn: early machines can
+        // finish while later ones are still being spawned.
+        let started_ns = self.config.clock.now_ns();
+        let (senders, receiver) = ring_fanin(n, RING_CAPACITY, self.config.backpressure);
         let mut handles = Vec::with_capacity(n);
         // Sender i goes to spec i: stream indices equal spec order.
-        let mut senders_iter = senders.drain(..);
-        for (index, spec) in specs.into_iter().enumerate() {
-            let tx = senders_iter.next().expect("one sender per spec");
+        for ((index, spec), tx) in specs.into_iter().enumerate().zip(senders) {
             let period = Duration::from_nanos(allocated[index]);
             let mut monitor = Monitor::new(&self.config.events, period).tuning(self.config.tuning);
             if let Some(interval) = self.config.drain_interval {
@@ -755,15 +638,14 @@ impl FleetRunner {
             let handle = std::thread::spawn(move || supervise_machine(task));
             handles.push((label, seed, handle));
         }
-        drop(senders_iter);
 
-        self.collect_and_join(n, receiver, handles, allocated)
+        self.collect_and_join(n, receiver, handles, allocated, started_ns)
     }
 
     /// Replays recorded streams through the collector pipeline — a
     /// drop-in machine source. Each stream gets the thread a live
     /// machine would have had and sends its recorded drain batches, in
-    /// order, through the same bounded channel; store ingest, channel
+    /// order, through the same ring fan-in; store ingest, fan-in
     /// accounting, the watchdog and anomaly scans all see exactly what
     /// the live run produced. Under [`Backpressure::Block`] the
     /// resulting [`FleetOutcome::digest`] is byte-identical to the
@@ -788,19 +670,18 @@ impl FleetRunner {
         // The recorded stream metadata carries each machine's allocated
         // base period, so replayed governance rows match the live run's.
         let allocated: Vec<u64> = streams.iter().map(|s| s.meta.period_ns).collect();
-        let (mut senders, receiver) = self.make_fanin(n);
+        // As in `run`, `elapsed` starts before the first spawn.
+        let started_ns = self.config.clock.now_ns();
+        let (senders, receiver) = ring_fanin(n, RING_CAPACITY, self.config.backpressure);
         let mut handles = Vec::with_capacity(n);
-        let mut senders_iter = senders.drain(..);
-        for stream in streams {
-            let tx = senders_iter.next().expect("one sender per stream");
+        for (stream, mut tx) in streams.into_iter().zip(senders) {
             let label = stream.meta.label.clone();
             let seed = stream.meta.seed;
             let handle = std::thread::spawn(move || {
-                let mut sink = ChannelSink { tx };
                 for batch in stream.batches() {
-                    sink.on_batch(batch);
+                    tx.send(batch);
                 }
-                drop(sink);
+                drop(tx);
                 // Health comes back from the persisted ledger (counts
                 // and breaker state; messages are not recorded), so the
                 // replayed digest covers exactly what the live one did.
@@ -814,29 +695,29 @@ impl FleetRunner {
             });
             handles.push((label, seed, handle));
         }
-        drop(senders_iter);
 
-        self.collect_and_join(n, receiver, handles, allocated)
+        self.collect_and_join(n, receiver, handles, allocated, started_ns)
     }
 
     /// The shared back half of [`FleetRunner::run`] and
     /// [`FleetRunner::replay`]: drive the collector loop, join the
     /// producer threads, assemble the outcome. `allocated` holds each
-    /// machine's allocator-assigned base period, in spec order.
+    /// machine's allocator-assigned base period, in spec order;
+    /// `started_ns` is the clock reading taken before the first spawn.
     fn collect_and_join(
         &self,
         n: usize,
-        mut receiver: FanIn,
+        mut receiver: RingCollector,
         handles: Vec<(String, u64, std::thread::JoinHandle<SupervisedRun>)>,
         allocated: Vec<u64>,
+        started_ns: u64,
     ) -> Result<FleetOutcome, FleetError> {
         let metrics = Arc::new(FleetMetrics::new());
-        let mut store = FleetStore::new(n, self.config.events.clone(), self.config.shard_capacity);
+        let mut store = FleetStore::new(n, self.config.events.clone(), SHARD_CAPACITY);
         let clock = &self.config.clock;
-        let started_ns = clock.now_ns();
 
         // Collector loop: drain until every sender (inside the machine
-        // workloads) has dropped and the queue is empty, polling often
+        // workloads) has dropped and every ring is empty, polling often
         // enough that the watchdog notices silence well inside the stall
         // timeout.
         let mut watchdog = StreamWatchdog::new(
@@ -845,8 +726,8 @@ impl FleetRunner {
             started_ns,
         );
         let poll = (self.config.stall_timeout / 4).max(std::time::Duration::from_millis(1));
-        // One scratch buffer for the whole run: the ring transport fills
-        // it in place, so the steady state allocates nothing per batch.
+        // One scratch buffer for the whole run: the collector fills it in
+        // place, so the steady state allocates nothing per batch.
         let mut scratch: Vec<Sample> = Vec::new();
         loop {
             match receiver.poll(poll, &mut scratch) {
@@ -882,7 +763,6 @@ impl FleetRunner {
                 Polled::Disconnected => break,
             }
         }
-        let elapsed = std::time::Duration::from_nanos(clock.now_ns().saturating_sub(started_ns));
 
         let mut machines = Vec::with_capacity(n);
         let mut health = Vec::with_capacity(n);
@@ -913,6 +793,7 @@ impl FleetRunner {
                 }
             }
         }
+        let elapsed = std::time::Duration::from_nanos(clock.now_ns().saturating_sub(started_ns));
         if health.iter().all(|h| h.failed) {
             return Err(FleetError::Machines {
                 failures: health.into_iter().flat_map(|h| h.failures).collect(),
@@ -1036,6 +917,7 @@ mod tests {
     use super::*;
     use crate::store::Lane;
     use crate::store::Window;
+    use kleb::SampleSink;
     use ksim::{FixedBlocks, WorkBlock};
     use pmu::EventCounts;
 
@@ -1069,7 +951,7 @@ mod tests {
         assert_eq!(outcome.channel.total_dropped(), 0, "Block is lossless");
         for (m, report) in outcome.machines.iter().enumerate() {
             // Store contents == the monitor's own sample series: nothing
-            // was lost or reordered on the way through the channel.
+            // was lost or reordered on the way through the ring.
             let stored: Vec<u64> = outcome
                 .store
                 .points(m, Lane::INSTRUCTIONS)
@@ -1184,66 +1066,123 @@ mod tests {
         }
     }
 
-    #[test]
-    fn transports_are_digest_identical_on_clean_runs() {
-        let run = |t: Transport| {
-            FleetRunner::new(quick_config().transport(t).build())
-                .run((0..3).map(spec).collect())
-                .unwrap()
-        };
-        let ring = run(Transport::SpscRing);
-        let mutex = run(Transport::MutexChannel);
-        assert_eq!(
-            ring.digest(),
-            mutex.digest(),
-            "the ring fan-in must be observationally pure"
-        );
+    /// Records every drained batch, in drain order.
+    #[derive(Debug, Clone, Default)]
+    struct CaptureSink(Arc<std::sync::Mutex<Vec<Vec<Sample>>>>);
+
+    impl SampleSink for CaptureSink {
+        fn on_batch(&mut self, samples: &[Sample]) {
+            self.0.lock().unwrap().push(samples.to_vec());
+        }
+    }
+
+    /// Runs `config` over three specs twice — as a fleet, and as a
+    /// reference with no transport at all: each spec's monitor on this
+    /// thread with the same machine config, fault plan and seed, its
+    /// captured batches ingested in drain order into a fresh store — and
+    /// requires the two to agree. Returns the fleet outcome.
+    fn assert_matches_sequential_reference(config: FleetConfig) -> FleetOutcome {
+        let specs: Vec<MachineSpec> = (0..3).map(spec).collect();
+        let mut store = FleetStore::new(specs.len(), config.events.clone(), SHARD_CAPACITY);
+        let mut outcomes = Vec::new();
+        let mut sent = Vec::new();
+        for (index, spec) in specs.iter().enumerate() {
+            let mut machine_config = (config.machine_config)(spec.seed);
+            if let Some(plan) = config.faults {
+                machine_config.faults = plan;
+            }
+            let sink = CaptureSink::default();
+            let outcome = Monitor::new(&config.events, config.period)
+                .tuning(config.tuning)
+                .run_with_sink(
+                    &mut Machine::new(machine_config),
+                    &spec.label,
+                    (spec.workload)(spec.seed),
+                    Box::new(sink.clone()),
+                )
+                .unwrap();
+            let batches = std::mem::take(&mut *sink.0.lock().unwrap());
+            for batch in &batches {
+                store.ingest(index, batch);
+            }
+            sent.push(batches.iter().map(|b| b.len() as u64).sum::<u64>());
+            outcomes.push(outcome);
+        }
+
+        let fleet = FleetRunner::new(config).run(specs).unwrap();
+        for (m, (report, reference)) in fleet.machines.iter().zip(&outcomes).enumerate() {
+            assert_eq!(report.outcome.samples, reference.samples, "machine {m}");
+            assert_eq!(report.outcome.status, reference.status, "machine {m}");
+            assert_eq!(report.outcome.recovery, reference.recovery, "machine {m}");
+            assert_eq!(
+                fleet.store.machine_snapshot(m),
+                store.machine_snapshot(m),
+                "machine {m}"
+            );
+        }
+        assert_eq!(fleet.channel.sent, sent);
+        fleet
     }
 
     #[test]
-    fn transports_are_digest_identical_under_chaos() {
+    fn clean_fleet_matches_its_sequential_reference() {
+        let fleet = assert_matches_sequential_reference(quick_config().build());
+        assert_eq!(fleet.channel.total_dropped(), 0);
+    }
+
+    #[test]
+    fn chaotic_fleet_matches_its_sequential_reference() {
         // Ring pressure exercises drops, retries, and the recovery
-        // ledger inside each machine; the fan-in swap must not leak into
-        // any of it.
-        let run = |t: Transport| {
-            FleetRunner::new(
-                quick_config()
-                    .transport(t)
-                    .faults(ksim::FaultPlan::ring_pressure(0.4))
-                    .build(),
-            )
-            .run((0..3).map(spec).collect())
-            .unwrap()
-        };
-        let ring = run(Transport::SpscRing);
-        let mutex = run(Transport::MutexChannel);
-        assert!(ring
+        // ledger inside each machine; the fan-in must not leak into any
+        // of it.
+        let fleet = assert_matches_sequential_reference(
+            quick_config()
+                .faults(ksim::FaultPlan::ring_pressure(0.4))
+                .build(),
+        );
+        assert!(fleet
             .machines
             .iter()
             .any(|m| m.outcome.status.samples_dropped > 0));
-        assert_eq!(ring.digest(), mutex.digest());
+    }
+
+    /// A clock that moves only when told to.
+    #[derive(Debug, Default)]
+    struct ManualClock(std::sync::atomic::AtomicU64);
+
+    impl Clock for ManualClock {
+        fn now_ns(&self) -> u64 {
+            self.0.load(std::sync::atomic::Ordering::SeqCst)
+        }
     }
 
     #[test]
-    fn replay_is_digest_identical_across_transports() {
-        // Record once (ring transport), then replay through *both*
-        // fan-ins: all three digests must agree.
-        let dir = std::env::temp_dir().join(format!("fleet-xport-replay-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let config = quick_config()
-            .faults(ksim::FaultPlan::ring_pressure(0.4))
-            .persist(&dir);
-        let live = FleetRunner::new(config.clone().build())
-            .run((0..3).map(spec).collect())
+    fn elapsed_spans_every_machine_from_spawn_to_join() {
+        // Enough machines that early threads build their workloads while
+        // later ones are still being spawned.
+        const MACHINES: u64 = 16;
+        const STEP_NS: u64 = 1_000_000;
+        let clock = Arc::new(ManualClock::default());
+        let specs = (0..MACHINES)
+            .map(|i| {
+                let clock = Arc::clone(&clock);
+                MachineSpec::new(format!("m{i}"), 40 + i, move |_seed| {
+                    // Each machine's set-up takes one millisecond of the
+                    // run's time, however early its thread gets to run.
+                    clock
+                        .0
+                        .fetch_add(STEP_NS, std::sync::atomic::Ordering::SeqCst);
+                    Box::new(FixedBlocks::new(500, WorkBlock::compute(1_000, 2_670))) as _
+                })
+            })
+            .collect();
+        let outcome = FleetRunner::new(quick_config().clock(clock).build())
+            .run(specs)
             .unwrap();
-        for transport in [Transport::SpscRing, Transport::MutexChannel] {
-            let replayer = ktrace::TraceReplayer::load_dir(&dir).unwrap();
-            let replayed = FleetRunner::new(config.clone().transport(transport).build())
-                .replay(replayer.streams)
-                .unwrap();
-            assert_eq!(live.digest(), replayed.digest(), "{transport:?}");
-        }
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(
+            outcome.elapsed,
+            std::time::Duration::from_nanos(MACHINES * STEP_NS)
+        );
     }
 
     #[test]

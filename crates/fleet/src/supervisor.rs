@@ -50,7 +50,8 @@ use ksim::{Machine, MachineConfig};
 use ktrace::{SharedWriter, StreamHealth, StreamLedger, StreamMeta, TraceWriter};
 
 use crate::clock::Clock;
-use crate::runner::{outline_report, MachineReport, StreamTx, WorkloadFactory};
+use crate::ingest::RingSender;
+use crate::runner::{outline_report, MachineReport, WorkloadFactory};
 
 /// Restart and circuit-breaker tuning for one fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -422,7 +423,7 @@ fn splitmix64(mut x: u64) -> u64 {
 /// and the union of samples actually forwarded to the collector.
 #[derive(Debug)]
 pub(crate) struct StreamProgress {
-    pub tx: Option<StreamTx>,
+    pub tx: Option<RingSender>,
     pub trace: Option<SharedWriter<std::fs::File>>,
     /// `(seq, timestamp_ns)` of the last forwarded sample; the next
     /// incarnation resumes from `seq + 1` on this time base.
@@ -439,7 +440,7 @@ pub(crate) struct StreamProgress {
 /// The per-attempt [`SampleSink`]: forwards each drained batch to the
 /// trace (if recording) and the fan-in, and tracks resume state. Holds
 /// only an [`Arc`] — unwinding through a panicking attempt drops the
-/// sink without touching the channel or the trace.
+/// sink without touching the ring or the trace.
 #[derive(Debug)]
 pub(crate) struct SupervisorSink(Arc<Mutex<StreamProgress>>);
 
@@ -496,7 +497,7 @@ pub(crate) struct MachineTask {
     pub workload: WorkloadFactory,
     pub policy: SupervisorPolicy,
     pub clock: Arc<dyn Clock>,
-    pub tx: StreamTx,
+    pub tx: RingSender,
     pub trace_path: Option<std::path::PathBuf>,
     pub meta: StreamMeta,
 }

@@ -12,8 +12,8 @@
 
 use std::time::Duration;
 
-use fleet::channel::Backpressure;
 use fleet::ingest::{ring_fanin, Polled};
+use fleet::Backpressure;
 use kleb::Sample;
 use kloom::{explore, Options};
 

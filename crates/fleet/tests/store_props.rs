@@ -1,12 +1,14 @@
-//! Property tests of the fleet store and channel accounting invariants.
+//! Property tests of the fleet store and fan-in accounting invariants.
 //!
 //! These pin the three contracts DESIGN.md promises:
 //! 1. below shard capacity, no accepted sample is ever lost;
 //! 2. per-shard timestamps are non-decreasing no matter the input order;
-//! 3. under the Drop policies, per-stream `sent == delivered + dropped`
-//!    once the queue is drained — every sample is accounted exactly once.
+//! 3. under `DropNewest`, per-stream `sent == delivered + dropped` once
+//!    the rings are drained — every sample is accounted exactly once.
 
-use fleet::{bounded, Backpressure, FleetStore, Lane, Window};
+use std::time::Duration;
+
+use fleet::{ring_fanin, Backpressure, FleetStore, Lane, Polled, Window};
 use kleb::Sample;
 use pmu::HwEvent;
 use proptest::prelude::*;
@@ -102,32 +104,31 @@ proptest! {
         );
     }
 
-    /// Under both Drop policies, once the queue is drained each stream's
+    /// Under `DropNewest`, once every ring is drained each stream's
     /// counters balance exactly: `sent == delivered + dropped`.
     #[test]
     fn drop_policies_account_every_sample(
         sends in proptest::collection::vec((0usize..3, 1u64..20), 0..40),
         capacity in 1usize..5,
-        drop_oldest in any::<bool>(),
     ) {
-        let policy = if drop_oldest {
-            Backpressure::DropOldest
-        } else {
-            Backpressure::DropNewest
-        };
-        let (senders, receiver) = bounded(3, capacity, policy);
+        let (mut senders, mut collector) = ring_fanin(3, capacity, Backpressure::DropNewest);
         let mut offered = [0u64; 3];
         for &(stream, len) in &sends {
             let batch: Vec<Sample> = (0..len).map(|i| sample(i + 1, i)).collect();
             offered[stream] += len;
-            senders[stream].send(batch);
+            senders[stream].send(&batch);
         }
         drop(senders);
         let mut received = [0u64; 3];
-        while let Some(batch) = receiver.recv() {
-            received[batch.machine] += batch.samples.len() as u64;
+        let mut scratch = Vec::new();
+        loop {
+            match collector.poll(Duration::from_millis(50), &mut scratch) {
+                Polled::Batch { machine } => received[machine] += scratch.len() as u64,
+                Polled::Timeout => continue,
+                Polled::Disconnected => break,
+            }
         }
-        let stats = receiver.stats();
+        let stats = collector.stats();
         for stream in 0..3 {
             prop_assert_eq!(stats.sent[stream], offered[stream], "stream {}", stream);
             prop_assert_eq!(stats.delivered[stream], received[stream], "stream {}", stream);
@@ -137,7 +138,8 @@ proptest! {
                 "stream {}: sent must equal delivered + dropped", stream
             );
         }
-        prop_assert_eq!(stats.block_waits, 0, "Drop policies never block");
-        prop_assert!(stats.depth_high_water <= capacity);
+        prop_assert_eq!(stats.block_waits, 0, "DropNewest never blocks");
+        // Rings round their capacity up to a power of two.
+        prop_assert!(stats.depth_high_water <= capacity.next_power_of_two());
     }
 }

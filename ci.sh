@@ -25,6 +25,15 @@ cargo build --workspace --release
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> golden gate (every experiment bin at --quick prints exactly tests/golden/<bin>.txt)"
+# fleet_scale and governor_perf print wall-clock figures, so they are not
+# pinned. A new bin fails here until its golden is committed.
+for src in crates/bench/src/bin/*.rs; do
+    bin=$(basename "$src" .rs)
+    case "$bin" in fleet_scale | governor_perf) continue ;; esac
+    "target/release/$bin" --quick | diff -u "tests/golden/$bin.txt" -
+done
+
 echo "==> chaos gate (fault injection: accounting, determinism, recovery)"
 cargo test -q --test chaos
 cargo run -q --release --example fault_matrix -- --quick

@@ -1,5 +1,13 @@
 //! Cache-hierarchy simulator throughput: the dominant cost of simulating
 //! memory-bound workloads.
+//!
+//! `memsim` scans each level's set once per access: the lookup that misses
+//! also picks the way the fill uses. `l1_hits_1024` times the hit path,
+//! where only L1d is scanned. `streaming_misses_1024` and
+//! `random_pattern_1024` time full misses, which scan all three levels,
+//! install at each and back-invalidate the LLC's victim from L2 and L1d.
+//! `flush_reload_probe_256` times `clflush`, which keeps a set's valid
+//! ways a prefix by moving the last one into the hole.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use memsim::{AccessKind, AccessPattern, Hierarchy};

@@ -13,7 +13,7 @@ use pmu::{EventCounts, HwEvent, Pmu, PmuError, Privilege};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use memsim::{AccessKind, Hierarchy, HierarchyConfig};
+use memsim::{AccessKind, AccessPattern, Hierarchy, HierarchyConfig, MemStats};
 
 use crate::cost::CostModel;
 use crate::device::{Device, DeviceId, Errno};
@@ -228,6 +228,39 @@ impl DramState {
         let total: f64 = self.per_core.iter().map(|c| c.pressure).sum();
         let util = (total / model.capacity_lines_per_window as f64).min(1.0);
         1.0 + model.max_extra * util
+    }
+}
+
+/// Stall cycles of a run of accesses on one core.
+#[derive(Debug, Clone, Copy)]
+struct Traffic {
+    /// Latency of the accesses served on chip.
+    cache_stall: u64,
+    /// Latency of the accesses that went to DRAM.
+    dram_stall: u64,
+    /// Lines fetched from DRAM.
+    dram_lines: u64,
+}
+
+/// Turns what `mem` served since its statistics read `before` into cache
+/// events, added to `events`, and stall cycles. Every access's latency is
+/// its level's, so the DRAM share of the latency is the LLC misses times
+/// the memory latency. Loads and stores are the caller's to count.
+fn cache_traffic(mem: &Hierarchy, before: MemStats, events: &mut EventCounts) -> Traffic {
+    let after = mem.stats();
+    let dram_lines = after.llc_misses - before.llc_misses;
+    events.add(HwEvent::L1dMiss, after.l1d_misses - before.l1d_misses);
+    events.add(HwEvent::L2Miss, after.l2_misses - before.l2_misses);
+    events.add(
+        HwEvent::LlcReference,
+        after.llc_references - before.llc_references,
+    );
+    events.add(HwEvent::LlcMiss, dram_lines);
+    let dram_stall = dram_lines * mem.latency_model().memory as u64;
+    Traffic {
+        cache_stall: after.total_latency_cycles - before.total_latency_cycles - dram_stall,
+        dram_stall,
+        dram_lines,
     }
 }
 
@@ -621,38 +654,23 @@ impl Machine {
         // Simulated memory traffic: on-chip stalls and DRAM stalls are
         // separated so shared-bandwidth contention only amplifies the
         // latter.
-        let mut cache_stall = 0u64;
-        let mut dram_stall = 0u64;
-        let mut dram_lines = 0u64;
+        let before = c.mem.stats();
         for pattern in &block.patterns {
-            for (addr, kind) in pattern.cursor() {
-                let r = c.mem.access(addr, kind);
-                if r.memory_access() {
-                    dram_stall += r.latency_cycles as u64;
-                    dram_lines += 1;
-                } else {
-                    cache_stall += r.latency_cycles as u64;
-                }
-                match kind {
-                    AccessKind::Read => events.add(HwEvent::Load, 1),
-                    AccessKind::Write => events.add(HwEvent::Store, 1),
-                }
-                if !r.l1_hit {
-                    events.add(HwEvent::L1dMiss, 1);
-                    if !r.l2_hit {
-                        events.add(HwEvent::L2Miss, 1);
-                        events.add(HwEvent::LlcReference, 1);
-                        if !r.llc_hit {
-                            events.add(HwEvent::LlcMiss, 1);
-                        }
-                    }
-                }
-            }
+            c.mem.run(pattern);
+            let event = match pattern.kind() {
+                AccessKind::Read => HwEvent::Load,
+                AccessKind::Write => HwEvent::Store,
+            };
+            events.add(event, pattern.len());
         }
-        let penalty = self
-            .dram
-            .penalty(&self.cfg.dram, core.0, self.cores[core.0].now, dram_lines);
-        let stall = cache_stall + (dram_stall as f64 * penalty) as u64;
+        let traffic = cache_traffic(&c.mem, before, &mut events);
+        let penalty = self.dram.penalty(
+            &self.cfg.dram,
+            core.0,
+            self.cores[core.0].now,
+            traffic.dram_lines,
+        );
+        let stall = traffic.cache_stall + (traffic.dram_stall as f64 * penalty) as u64;
         let c = &mut self.cores[core.0];
         cycles += stall / self.cfg.mlp as u64;
         events.add(HwEvent::CoreCycles, cycles);
@@ -783,27 +801,17 @@ impl Machine {
         // (the attacker fences around each access), plus rdtsc overhead.
         const TIMING_OVERHEAD_CYCLES: u64 = 45;
         let c = &mut self.cores[core.0];
-        let mut events = EventCounts::new();
-        let mut latencies = Vec::with_capacity(addrs.len());
-        let mut cycles = 0u64;
-        for &addr in addrs {
-            let r = c.mem.access(addr, AccessKind::Read);
-            latencies.push(r.latency_cycles);
-            cycles += r.latency_cycles as u64 + TIMING_OVERHEAD_CYCLES;
-            events.add(HwEvent::Load, 1);
-            if !r.l1_hit {
-                events.add(HwEvent::L1dMiss, 1);
-                if !r.l2_hit {
-                    events.add(HwEvent::L2Miss, 1);
-                    events.add(HwEvent::LlcReference, 1);
-                    if !r.llc_hit {
-                        events.add(HwEvent::LlcMiss, 1);
-                    }
-                }
-            }
-        }
+        let before = c.mem.stats();
+        let latencies: Vec<u32> = addrs
+            .iter()
+            .map(|&addr| c.mem.access(addr, AccessKind::Read).latency_cycles)
+            .collect();
+        let n = addrs.len() as u64;
+        let mut events = EventCounts::new().with(HwEvent::Load, n);
+        let traffic = cache_traffic(&c.mem, before, &mut events);
+        let cycles = traffic.cache_stall + traffic.dram_stall + n * TIMING_OVERHEAD_CYCLES;
         // ~4 instructions per timed access (rdtsc, lfence, load, rdtsc).
-        events.add(HwEvent::InstructionsRetired, addrs.len() as u64 * 4);
+        events.add(HwEvent::InstructionsRetired, n * 4);
         events.add(HwEvent::CoreCycles, cycles);
         events.add(HwEvent::RefCycles, cycles);
         c.pmu.observe(&events, Privilege::User);
@@ -1286,22 +1294,16 @@ impl KernelCtx<'_> {
     pub fn touch_kernel_lines(&mut self, lines: u64) {
         // A per-device kernel region, so different modules do not share.
         let base = 0xFFFF_8000_0000_0000u64 | ((self.device.0 as u64) << 24);
-        let mut events = EventCounts::new();
         let c = &mut self.machine.cores[self.core.0];
-        for i in 0..lines {
-            let r = c.mem.access(base + i * 64, AccessKind::Read);
-            events.add(HwEvent::Load, 1);
-            if !r.l1_hit {
-                events.add(HwEvent::L1dMiss, 1);
-                if !r.l2_hit {
-                    events.add(HwEvent::L2Miss, 1);
-                    events.add(HwEvent::LlcReference, 1);
-                    if !r.llc_hit {
-                        events.add(HwEvent::LlcMiss, 1);
-                    }
-                }
-            }
-        }
+        let before = c.mem.stats();
+        c.mem.run(&AccessPattern::Sequential {
+            base,
+            stride: 64,
+            count: lines,
+            kind: AccessKind::Read,
+        });
+        let mut events = EventCounts::new().with(HwEvent::Load, lines);
+        cache_traffic(&c.mem, before, &mut events);
         c.pmu.observe(&events, Privilege::Kernel);
     }
 }

@@ -5,7 +5,7 @@ use std::fmt;
 /// Geometry and policy of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
-    /// Line size in bytes; must be a power of two.
+    /// Line size in bytes; must be a power of two of at least 4.
     pub line_size: u32,
     /// Number of sets; must be a power of two.
     pub sets: u32,
@@ -18,12 +18,15 @@ impl CacheConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `line_size` or `sets` is not a power of two, or `ways` is 0.
+    /// Panics if `line_size` or `sets` is not a power of two, if
+    /// `line_size` is below 4 (a way keeps its valid and dirty flags in the
+    /// line-offset bits of its address), or if `ways` is 0.
     pub fn new(line_size: u32, sets: u32, ways: u32) -> Self {
         assert!(
             line_size.is_power_of_two(),
             "line size must be a power of two"
         );
+        assert!(line_size >= 4, "line size must be at least 4 bytes");
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         assert!(ways > 0, "associativity must be non-zero");
         Self {
@@ -80,38 +83,55 @@ impl fmt::Display for CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// Monotonic timestamp of last touch, for LRU.
+/// Flag bits of a way's address word. They live in the line-offset bits,
+/// which a line address always has clear (lines are at least 4 bytes).
+const VALID: u64 = 1;
+const DIRTY: u64 = 2;
+
+#[inline]
+const fn dirty_if(write: bool) -> u64 {
+    if write {
+        DIRTY
+    } else {
+        0
+    }
+}
+
+/// One way of a set: 16 bytes, so an 8-way set spans two host cache lines.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct Way {
+    /// The line's byte address with [`VALID`] and [`DIRTY`] in its low
+    /// bits; 0 for an invalid way.
+    word: u64,
+    /// Value of the cache's clock at the line's last touch, for LRU.
     lru: u64,
 }
 
-const EMPTY_LINE: Line = Line {
-    tag: 0,
-    valid: false,
-    dirty: false,
-    lru: 0,
-};
-
-/// What a fill displaced, reported so inclusive hierarchies can back-invalidate.
+/// Where a missed line goes: the index of a way in the cache, found by the
+/// lookup that missed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct FillOutcome {
-    /// Address of the line that was evicted, if any.
-    pub evicted: Option<u64>,
-    /// Whether the evicted line was dirty (needs writeback).
-    pub evicted_dirty: bool,
+pub(crate) struct Slot(usize);
+
+/// The outcome of [`Cache::lookup`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Lookup {
+    /// The line was resident.
+    Hit,
+    /// The line was not resident; a fill belongs in this slot.
+    Miss(Slot),
 }
 
 /// One set-associative cache level.
 ///
-/// Addresses are byte addresses; the cache works on aligned lines internally.
+/// Addresses are byte addresses; the cache works on aligned lines
+/// internally. The valid ways of every set form a prefix of it, so a scan
+/// stops at the first invalid way, and one pass over a set both probes for
+/// a line and picks where a missing one goes: the first invalid way, else
+/// the least recently used.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    lines: Vec<Line>,
+    ways: Vec<Way>,
     clock: u64,
     stats: CacheStats,
     line_shift: u32,
@@ -123,7 +143,7 @@ impl Cache {
     pub fn new(config: CacheConfig) -> Self {
         Self {
             config,
-            lines: vec![EMPTY_LINE; (config.sets * config.ways) as usize],
+            ways: vec![Way::default(); (config.sets * config.ways) as usize],
             clock: 0,
             stats: CacheStats::default(),
             line_shift: config.line_size.trailing_zeros(),
@@ -146,45 +166,108 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
+    /// The word a valid, clean way holding `addr`'s line carries.
     #[inline]
-    fn split(&self, addr: u64) -> (u64, usize) {
-        let line_addr = addr >> self.line_shift;
-        let set = (line_addr & self.set_mask) as usize;
-        let tag = line_addr >> self.config.sets.trailing_zeros();
-        (tag, set)
+    fn key(&self, addr: u64) -> u64 {
+        (addr >> self.line_shift << self.line_shift) | VALID
     }
 
+    /// Index of the first way of the set `addr` maps to.
     #[inline]
-    fn set_range(&self, set: usize) -> std::ops::Range<usize> {
+    fn set_start(&self, addr: u64) -> usize {
+        ((addr >> self.line_shift) & self.set_mask) as usize * self.config.ways as usize
+    }
+
+    /// Looks `addr` up in one pass over its set. A hit refreshes the line's
+    /// LRU stamp and, if `write`, marks it dirty; a miss returns the slot a
+    /// fill of the line must use. Counts one access.
+    #[inline]
+    pub(crate) fn lookup(&mut self, addr: u64, write: bool) -> Lookup {
+        self.clock += 1;
+        self.stats.accesses += 1;
+        let clock = self.clock;
+        let key = self.key(addr);
+        let start = self.set_start(addr);
+        let set = &mut self.ways[start..start + self.config.ways as usize];
+        let mut victim = 0;
+        let mut oldest = u64::MAX;
+        for (i, way) in set.iter_mut().enumerate() {
+            if way.word & !DIRTY == key {
+                way.lru = clock;
+                way.word |= dirty_if(write);
+                self.stats.hits += 1;
+                return Lookup::Hit;
+            }
+            if way.word == 0 {
+                // The first invalid way: the line is not resident, and an
+                // empty way always takes a fill before any eviction.
+                victim = i;
+                break;
+            }
+            let older = way.lru < oldest;
+            victim = if older { i } else { victim };
+            oldest = if older { way.lru } else { oldest };
+        }
+        self.stats.misses += 1;
+        Lookup::Miss(Slot(start + victim))
+    }
+
+    /// Installs `addr`'s line in `slot`, which a missed [`Cache::lookup`]
+    /// of the same line returned (or [`Cache::back_invalidate`] moved), and
+    /// returns the address of the line it evicted, if any.
+    #[inline]
+    pub(crate) fn install(&mut self, slot: Slot, addr: u64, write: bool) -> Option<u64> {
+        self.clock += 1;
+        let new = Way {
+            word: self.key(addr) | dirty_if(write),
+            lru: self.clock,
+        };
+        let old = std::mem::replace(&mut self.ways[slot.0], new).word;
+        if old == 0 {
+            return None;
+        }
+        self.stats.evictions += 1;
+        self.stats.writebacks += u64::from(old & DIRTY != 0);
+        Some(old & !(VALID | DIRTY))
+    }
+
+    /// Invalidates `victim`'s line to keep an outer level's eviction
+    /// inclusive, and returns where the pending fill of `slot` goes now: if
+    /// the invalidation emptied a way in `slot`'s set, that way, since a
+    /// fill takes an empty way before evicting.
+    pub(crate) fn back_invalidate(&mut self, victim: u64, slot: Slot) -> Slot {
         let ways = self.config.ways as usize;
-        set * ways..(set + 1) * ways
+        match self.remove(victim) {
+            Some(hole) if hole / ways == slot.0 / ways => Slot(hole),
+            _ => slot,
+        }
     }
 
-    fn line_addr_of(&self, tag: u64, set: usize) -> u64 {
-        ((tag << self.config.sets.trailing_zeros()) | set as u64) << self.line_shift
+    /// Invalidates `addr`'s line, if resident, and returns the index of the
+    /// way that became invalid. The set's last valid way moves into the
+    /// hole, so the valid ways stay a prefix of the set.
+    fn remove(&mut self, addr: u64) -> Option<usize> {
+        let key = self.key(addr);
+        let start = self.set_start(addr);
+        let set = &mut self.ways[start..start + self.config.ways as usize];
+        let hit = set
+            .iter()
+            .take_while(|w| w.word != 0)
+            .position(|w| w.word & !DIRTY == key)?;
+        let last = hit + set[hit + 1..].iter().take_while(|w| w.word != 0).count();
+        let dirty = set[hit].word & DIRTY != 0;
+        set[hit] = set[last];
+        set[last] = Way::default();
+        self.stats.writebacks += u64::from(dirty);
+        self.stats.flushes += 1;
+        Some(start + last)
     }
 
     /// Looks up `addr`; returns `true` on hit. On hit the line's LRU stamp is
     /// refreshed and, if `write`, the line is marked dirty. **Does not fill**
     /// on miss — the hierarchy decides fills so it can model inclusion.
     pub fn probe(&mut self, addr: u64, write: bool) -> bool {
-        self.clock += 1;
-        self.stats.accesses += 1;
-        let (tag, set) = self.split(addr);
-        let clock = self.clock;
-        for i in self.set_range(set) {
-            let line = &mut self.lines[i];
-            if line.valid && line.tag == tag {
-                line.lru = clock;
-                if write {
-                    line.dirty = true;
-                }
-                self.stats.hits += 1;
-                return true;
-            }
-        }
-        self.stats.misses += 1;
-        false
+        self.lookup(addr, write) == Lookup::Hit
     }
 
     /// Standalone single-level access: probes and fills on miss.
@@ -192,99 +275,46 @@ impl Cache {
     /// Returns `true` on hit. Use [`Hierarchy`](crate::Hierarchy) for
     /// multi-level behaviour; this is for using one cache level directly.
     pub fn access(&mut self, addr: u64, write: bool) -> bool {
-        let hit = self.probe(addr, write);
-        if !hit {
-            let _ = self.fill(addr, write);
+        match self.lookup(addr, write) {
+            Lookup::Hit => true,
+            Lookup::Miss(slot) => {
+                self.install(slot, addr, write);
+                false
+            }
         }
-        hit
     }
 
     /// Checks residency without updating LRU or statistics.
     pub fn contains(&self, addr: u64) -> bool {
-        let (tag, set) = self.split(addr);
-        self.set_range(set)
-            .any(|i| self.lines[i].valid && self.lines[i].tag == tag)
-    }
-
-    /// Installs the line for `addr`, evicting the LRU way if the set is full.
-    pub(crate) fn fill(&mut self, addr: u64, write: bool) -> FillOutcome {
-        self.clock += 1;
-        let (tag, set) = self.split(addr);
-        let range = self.set_range(set);
-        // Prefer an invalid way; otherwise evict the least recently used.
-        let mut victim = range.start;
-        let mut best_lru = u64::MAX;
-        for i in range {
-            let line = &self.lines[i];
-            if !line.valid {
-                victim = i;
-                break;
-            }
-            if line.lru < best_lru {
-                best_lru = line.lru;
-                victim = i;
-            }
-        }
-        let old = self.lines[victim];
-        let outcome = if old.valid {
-            self.stats.evictions += 1;
-            if old.dirty {
-                self.stats.writebacks += 1;
-            }
-            FillOutcome {
-                evicted: Some(self.line_addr_of(old.tag, set)),
-                evicted_dirty: old.dirty,
-            }
-        } else {
-            FillOutcome {
-                evicted: None,
-                evicted_dirty: false,
-            }
-        };
-        self.lines[victim] = Line {
-            tag,
-            valid: true,
-            dirty: write,
-            lru: self.clock,
-        };
-        outcome
+        let key = self.key(addr);
+        let start = self.set_start(addr);
+        self.ways[start..start + self.config.ways as usize]
+            .iter()
+            .take_while(|w| w.word != 0)
+            .any(|w| w.word & !DIRTY == key)
     }
 
     /// Invalidates the line containing `addr` (the `clflush` primitive).
     ///
     /// Returns `true` if a line was present; dirty lines count a writeback.
     pub fn flush_line(&mut self, addr: u64) -> bool {
-        let (tag, set) = self.split(addr);
-        for i in self.set_range(set) {
-            let line = &mut self.lines[i];
-            if line.valid && line.tag == tag {
-                if line.dirty {
-                    self.stats.writebacks += 1;
-                }
-                *line = EMPTY_LINE;
-                self.stats.flushes += 1;
-                return true;
-            }
-        }
-        false
+        self.remove(addr).is_some()
     }
 
     /// Invalidates everything (e.g. simulating `wbinvd`).
     pub fn flush_all(&mut self) {
-        for line in &mut self.lines {
-            if line.valid {
-                if line.dirty {
-                    self.stats.writebacks += 1;
-                }
+        for way in &mut self.ways {
+            if way.word != 0 {
+                self.stats.writebacks += u64::from(way.word & DIRTY != 0);
                 self.stats.flushes += 1;
             }
-            *line = EMPTY_LINE;
+            *way = Way::default();
         }
     }
 
     /// Number of currently valid lines.
     pub fn resident_lines(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.ways.iter().filter(|w| w.word != 0).count()
     }
 }
 
@@ -295,6 +325,15 @@ mod tests {
     fn tiny() -> Cache {
         // 2 sets x 2 ways x 64B lines = 256 B.
         Cache::new(CacheConfig::new(64, 2, 2))
+    }
+
+    /// Misses on `addr` and installs its line, as a hierarchy fill does;
+    /// returns the evicted line.
+    fn fill(c: &mut Cache, addr: u64, write: bool) -> Option<u64> {
+        match c.lookup(addr, write) {
+            Lookup::Miss(slot) => c.install(slot, addr, write),
+            Lookup::Hit => panic!("{addr:#x} is already resident"),
+        }
     }
 
     #[test]
@@ -309,19 +348,32 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "at least 4 bytes")]
+    fn line_below_four_bytes_panics() {
+        CacheConfig::new(2, 2, 2);
+    }
+
+    #[test]
     fn cold_miss_then_hit() {
         let mut c = tiny();
-        assert!(!c.probe(0x100, false));
-        c.fill(0x100, false);
-        assert!(c.probe(0x100, false));
+        assert!(!c.access(0x100, false));
+        assert!(c.access(0x100, false));
         assert_eq!(c.stats().hits, 1);
+        assert_eq!(c.stats().misses, 1);
+    }
+
+    #[test]
+    fn probe_does_not_fill() {
+        let mut c = tiny();
+        assert!(!c.probe(0x100, false));
+        assert!(!c.contains(0x100));
         assert_eq!(c.stats().misses, 1);
     }
 
     #[test]
     fn same_line_different_bytes_hit() {
         let mut c = tiny();
-        c.fill(0x100, false);
+        c.access(0x100, false);
         assert!(c.probe(0x13F, false), "byte 63 of the same 64B line");
         assert!(!c.probe(0x140, false), "next line misses");
     }
@@ -329,13 +381,11 @@ mod tests {
     #[test]
     fn lru_eviction_order() {
         let mut c = tiny();
-        // Set index = (addr >> 6) & 1. Use set 0: line addrs 0x000, 0x080... no:
-        // addresses with (addr>>6) even map to set 0: 0x000, 0x100, 0x200, 0x300.
-        c.fill(0x000, false);
-        c.fill(0x100, false);
+        // Addresses with (addr >> 6) even map to set 0: 0x000, 0x100, 0x200.
+        fill(&mut c, 0x000, false);
+        fill(&mut c, 0x100, false);
         assert!(c.probe(0x000, false)); // refresh 0x000; 0x100 becomes LRU
-        let out = c.fill(0x200, false);
-        assert_eq!(out.evicted, Some(0x100));
+        assert_eq!(fill(&mut c, 0x200, false), Some(0x100));
         assert!(c.contains(0x000));
         assert!(!c.contains(0x100));
         assert!(c.contains(0x200));
@@ -344,36 +394,35 @@ mod tests {
     #[test]
     fn fill_prefers_invalid_ways() {
         let mut c = tiny();
-        c.fill(0x000, false);
-        let out = c.fill(0x100, false);
-        assert_eq!(out.evicted, None);
+        fill(&mut c, 0x000, false);
+        assert_eq!(fill(&mut c, 0x100, false), None);
     }
 
     #[test]
     fn dirty_eviction_counts_writeback() {
         let mut c = tiny();
-        c.fill(0x000, true); // dirty
-        c.fill(0x100, false);
-        let out = c.fill(0x200, false); // evicts dirty 0x000 (LRU)
-        assert_eq!(out.evicted, Some(0x000));
-        assert!(out.evicted_dirty);
+        fill(&mut c, 0x000, true); // dirty
+        fill(&mut c, 0x100, false);
+        // Evicts dirty 0x000 (LRU).
+        assert_eq!(fill(&mut c, 0x200, false), Some(0x000));
         assert_eq!(c.stats().writebacks, 1);
+        assert_eq!(c.stats().evictions, 1);
     }
 
     #[test]
     fn write_hit_marks_dirty() {
         let mut c = tiny();
-        c.fill(0x000, false);
+        fill(&mut c, 0x000, false);
         assert!(c.probe(0x000, true));
-        c.fill(0x100, false);
-        let out = c.fill(0x200, false);
-        assert!(out.evicted_dirty, "write hit dirtied the line");
+        fill(&mut c, 0x100, false);
+        assert_eq!(fill(&mut c, 0x200, false), Some(0x000));
+        assert_eq!(c.stats().writebacks, 1, "write hit dirtied the line");
     }
 
     #[test]
     fn flush_line_invalidates() {
         let mut c = tiny();
-        c.fill(0x000, false);
+        fill(&mut c, 0x000, false);
         assert!(c.flush_line(0x020)); // same line, different byte
         assert!(!c.contains(0x000));
         assert!(!c.flush_line(0x000), "second flush finds nothing");
@@ -381,10 +430,55 @@ mod tests {
     }
 
     #[test]
+    fn flush_in_a_full_set_keeps_valid_ways_a_prefix() {
+        // One set of 4 ways; lines 0x000, 0x040, 0x080, 0x0C0.
+        let mut c = Cache::new(CacheConfig::new(64, 1, 4));
+        for line in 0..4 {
+            fill(&mut c, line * 0x40, line == 1);
+        }
+        assert!(c.flush_line(0x040), "flush the dirty line in way 1");
+        assert_eq!(c.stats().writebacks, 1);
+        // The last way moved into the hole; the hole is now the last way.
+        assert_eq!(c.ways[1].word, 0x0C0 | VALID);
+        assert_eq!(c.ways[3], Way::default());
+        for line in [0x000, 0x080, 0x0C0] {
+            assert!(c.contains(line));
+        }
+        // The next miss fills the emptied way and evicts nothing.
+        assert_eq!(c.lookup(0x100, false), Lookup::Miss(Slot(3)));
+        assert_eq!(c.install(Slot(3), 0x100, false), None);
+        // LRU order survived the move: 0x000 is the oldest.
+        assert_eq!(fill(&mut c, 0x140, false), Some(0x000));
+    }
+
+    #[test]
+    fn back_invalidation_redirects_a_fill_in_the_same_set() {
+        let mut c = Cache::new(CacheConfig::new(64, 2, 2));
+        fill(&mut c, 0x000, false);
+        fill(&mut c, 0x080, false);
+        let Lookup::Miss(lru) = c.lookup(0x100, false) else {
+            panic!("0x100 is not resident");
+        };
+        assert_eq!(lru, Slot(0), "the full set's LRU way");
+        // Invalidating a line of the same set frees a way for the fill.
+        let slot = c.back_invalidate(0x080, lru);
+        assert_eq!(slot, Slot(1));
+        assert_eq!(c.install(slot, 0x100, false), None);
+        assert!(c.contains(0x000) && c.contains(0x100));
+        // A line of another set, or one not resident, leaves the slot.
+        fill(&mut c, 0x040, false);
+        let Lookup::Miss(slot) = c.lookup(0x180, false) else {
+            panic!("0x180 is not resident");
+        };
+        assert_eq!(c.back_invalidate(0x040, slot), slot);
+        assert_eq!(c.back_invalidate(0x200, slot), slot);
+    }
+
+    #[test]
     fn flush_all_clears_everything() {
         let mut c = tiny();
-        c.fill(0x000, true);
-        c.fill(0x040, false);
+        fill(&mut c, 0x000, true);
+        fill(&mut c, 0x040, false);
         c.flush_all();
         assert_eq!(c.resident_lines(), 0);
         assert_eq!(c.stats().writebacks, 1);
@@ -394,35 +488,33 @@ mod tests {
     #[test]
     fn contains_does_not_disturb_lru_or_stats() {
         let mut c = tiny();
-        c.fill(0x000, false);
-        c.fill(0x100, false);
+        fill(&mut c, 0x000, false);
+        fill(&mut c, 0x100, false);
         let before = c.stats();
         assert!(c.contains(0x000));
         assert_eq!(c.stats(), before);
         // 0x000 is still LRU (contains didn't refresh it).
-        let out = c.fill(0x200, false);
-        assert_eq!(out.evicted, Some(0x000));
+        assert_eq!(fill(&mut c, 0x200, false), Some(0x000));
     }
 
     #[test]
     fn sets_isolate_addresses() {
         let mut c = tiny();
         // Set 1 addresses: 0x040, 0x0C0, 0x140...
-        c.fill(0x040, false);
-        c.fill(0x0C0, false);
-        c.fill(0x140, false); // evicts within set 1 only
+        fill(&mut c, 0x040, false);
+        fill(&mut c, 0x0C0, false);
+        fill(&mut c, 0x140, false); // evicts within set 1 only
         assert!(c.contains(0x140));
         // Set 0 untouched.
-        c.fill(0x000, false);
+        fill(&mut c, 0x000, false);
         assert!(c.contains(0x000));
     }
 
     #[test]
     fn miss_ratio() {
         let mut c = tiny();
-        c.probe(0x0, false);
-        c.fill(0x0, false);
-        c.probe(0x0, false);
+        c.access(0x0, false);
+        c.access(0x0, false);
         assert!((c.stats().miss_ratio() - 0.5).abs() < 1e-12);
         assert_eq!(CacheStats::default().miss_ratio(), 0.0);
     }

@@ -1,6 +1,7 @@
 //! Three-level inclusive cache hierarchy with a latency model.
 
-use crate::cache::{Cache, CacheConfig, CacheStats};
+use crate::cache::{Cache, CacheConfig, CacheStats, Lookup};
+use crate::pattern::AccessPattern;
 
 /// Whether a memory access reads or writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -113,6 +114,16 @@ pub struct AccessResult {
 }
 
 impl AccessResult {
+    #[inline]
+    const fn at(l1_hit: bool, l2_hit: bool, llc_hit: bool, latency_cycles: u32) -> Self {
+        Self {
+            l1_hit,
+            l2_hit,
+            llc_hit,
+            latency_cycles,
+        }
+    }
+
     /// True if the access had to go to main memory.
     pub const fn memory_access(&self) -> bool {
         !self.l1_hit && !self.l2_hit && !self.llc_hit
@@ -123,6 +134,7 @@ impl AccessResult {
 ///
 /// `llc_references` counts accesses that *reached* the LLC (i.e. missed L2),
 /// which is how the architectural `LONGEST_LAT_CACHE.REFERENCE` event counts.
+/// [`Hierarchy::stats`] derives every field from the per-level counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemStats {
     /// Total accesses issued.
@@ -150,7 +162,6 @@ pub struct Hierarchy {
     l2: Cache,
     llc: Cache,
     latency: LatencyModel,
-    stats: MemStats,
 }
 
 impl Hierarchy {
@@ -161,7 +172,6 @@ impl Hierarchy {
             l2: Cache::new(config.l2),
             llc: Cache::new(config.llc),
             latency: config.latency,
-            stats: MemStats::default(),
         }
     }
 
@@ -176,71 +186,41 @@ impl Hierarchy {
     }
 
     /// Performs one access, updating every level and the statistics.
+    ///
+    /// Each level's set is scanned once: a lookup that misses already knows
+    /// where the line will be installed on the way back in.
+    #[inline]
     pub fn access(&mut self, addr: u64, kind: AccessKind) -> AccessResult {
         let write = kind.is_write();
-        self.stats.accesses += 1;
-
-        if self.l1d.probe(addr, write) {
-            self.stats.total_latency_cycles += self.latency.l1_hit as u64;
-            return AccessResult {
-                l1_hit: true,
-                l2_hit: false,
-                llc_hit: false,
-                latency_cycles: self.latency.l1_hit,
-            };
-        }
-        self.stats.l1d_misses += 1;
-
-        if self.l2.probe(addr, write) {
-            self.fill_l1(addr, write);
-            self.stats.total_latency_cycles += self.latency.l2_hit as u64;
-            return AccessResult {
-                l1_hit: false,
-                l2_hit: true,
-                llc_hit: false,
-                latency_cycles: self.latency.l2_hit,
-            };
-        }
-        self.stats.l2_misses += 1;
-        self.stats.llc_references += 1;
-
-        if self.llc.probe(addr, write) {
-            self.fill_l2(addr, write);
-            self.fill_l1(addr, write);
-            self.stats.total_latency_cycles += self.latency.llc_hit as u64;
-            return AccessResult {
-                l1_hit: false,
-                l2_hit: false,
-                llc_hit: true,
-                latency_cycles: self.latency.llc_hit,
-            };
-        }
-        self.stats.llc_misses += 1;
-
+        let lat = self.latency;
+        let Lookup::Miss(mut l1_slot) = self.l1d.lookup(addr, write) else {
+            return AccessResult::at(true, false, false, lat.l1_hit);
+        };
+        let Lookup::Miss(mut l2_slot) = self.l2.lookup(addr, write) else {
+            self.l1d.install(l1_slot, addr, write);
+            return AccessResult::at(false, true, false, lat.l2_hit);
+        };
+        let Lookup::Miss(llc_slot) = self.llc.lookup(addr, write) else {
+            self.l2.install(l2_slot, addr, write);
+            self.l1d.install(l1_slot, addr, write);
+            return AccessResult::at(false, false, true, lat.llc_hit);
+        };
         // Memory access: fill every level (inclusive).
-        let out = self.llc.fill(addr, write);
-        if let Some(victim) = out.evicted {
-            // Back-invalidate to preserve inclusion.
-            self.l2.flush_line(victim);
-            self.l1d.flush_line(victim);
+        if let Some(victim) = self.llc.install(llc_slot, addr, write) {
+            l2_slot = self.l2.back_invalidate(victim, l2_slot);
+            l1_slot = self.l1d.back_invalidate(victim, l1_slot);
         }
-        self.fill_l2(addr, write);
-        self.fill_l1(addr, write);
-        self.stats.total_latency_cycles += self.latency.memory as u64;
-        AccessResult {
-            l1_hit: false,
-            l2_hit: false,
-            llc_hit: false,
-            latency_cycles: self.latency.memory,
-        }
+        self.l2.install(l2_slot, addr, write);
+        self.l1d.install(l1_slot, addr, write);
+        AccessResult::at(false, false, false, lat.memory)
     }
 
-    fn fill_l1(&mut self, addr: u64, write: bool) {
-        let _ = self.l1d.fill(addr, write);
-    }
-
-    fn fill_l2(&mut self, addr: u64, write: bool) {
-        let _ = self.l2.fill(addr, write);
+    /// Performs every access of `pattern`, in order, exactly as
+    /// [`Hierarchy::access`] would; the effect shows in [`Hierarchy::stats`].
+    pub fn run(&mut self, pattern: &AccessPattern) {
+        for (addr, kind) in pattern.cursor() {
+            self.access(addr, kind);
+        }
     }
 
     /// Flushes the line containing `addr` from every level (`clflush`).
@@ -262,9 +242,23 @@ impl Hierarchy {
         self.l1d.contains(addr) || self.l2.contains(addr) || self.llc.contains(addr)
     }
 
-    /// Cumulative statistics.
+    /// Cumulative statistics, derived from the per-level counters: every
+    /// access looks up L1d, every L1d miss L2, every L2 miss the LLC, and an
+    /// access costs the latency of the level it hit (memory on an LLC miss).
     pub fn stats(&self) -> MemStats {
-        self.stats
+        let (l1, l2, llc) = self.level_stats();
+        let lat = self.latency;
+        MemStats {
+            accesses: l1.accesses,
+            l1d_misses: l1.misses,
+            l2_misses: l2.misses,
+            llc_references: llc.accesses,
+            llc_misses: llc.misses,
+            total_latency_cycles: l1.hits * lat.l1_hit as u64
+                + l2.hits * lat.l2_hit as u64
+                + llc.hits * lat.llc_hit as u64
+                + llc.misses * lat.memory as u64,
+        }
     }
 
     /// Per-level raw statistics `(l1d, l2, llc)`.
@@ -274,7 +268,6 @@ impl Hierarchy {
 
     /// Resets statistics (cache contents retained).
     pub fn reset_stats(&mut self) {
-        self.stats = MemStats::default();
         self.l1d.reset_stats();
         self.l2.reset_stats();
         self.llc.reset_stats();

@@ -55,6 +55,15 @@ impl AccessPattern {
         }
     }
 
+    /// Whether every access of the pattern reads or writes.
+    pub fn kind(&self) -> AccessKind {
+        match *self {
+            AccessPattern::Sequential { kind, .. }
+            | AccessPattern::Random { kind, .. }
+            | AccessPattern::Single { kind, .. } => kind,
+        }
+    }
+
     /// True if the pattern expands to no accesses.
     pub fn is_empty(&self) -> bool {
         self.len() == 0

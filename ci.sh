@@ -34,6 +34,19 @@ for src in crates/bench/src/bin/*.rs; do
     "target/release/$bin" --quick | diff -u "tests/golden/$bin.txt" -
 done
 
+echo "==> perfbench counter gate (failed and the exact work counters at seed 42 match tests/golden/perfbench_exact-42.txt)"
+# A traced round's exact counters do not depend on --seconds or host speed,
+# so a short run pins them; wall-clock metrics are reported, never gated.
+for workload in paper_overhead docker_mpki fleet_record_replay; do
+    json=$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 42 --seconds 1 --trace 1 | tail -n 1)
+    echo "$workload failed $(sed -n 's/.*"failed": \([0-9]*\).*/\1/p' <<<"$json")"
+    for counter in memsim.accesses memsim.llc_misses ksim.events workloads.blocks \
+        kleb.samples ktrace.bytes_per_sample; do
+        echo "$workload $counter $(sed -n "s/.*\"${counter//./\\.}\": {\"value\": \([^,]*\),.*/\1/p" <<<"$json")"
+    done
+done | diff -u tests/golden/perfbench_exact-42.txt -
+
 echo "==> chaos gate (fault injection: accounting, determinism, recovery)"
 cargo test -q --test chaos
 cargo run -q --release --example fault_matrix -- --quick

@@ -9,7 +9,10 @@
 //! Flush+Reload probes.
 
 use kleb::Monitor;
-use ksim::{Duration, ItemResult, Machine, MachineConfig, Pid, ProcessInfo, WorkBlock, WorkItem};
+use ksim::{
+    CoreId, Duration, FixedBlocks, ItemResult, Machine, MachineConfig, Pid, ProcessInfo, WorkBlock,
+    WorkItem,
+};
 use memsim::{AccessKind, AccessPattern};
 use pmu::HwEvent;
 use workloads::DockerImage;
@@ -138,5 +141,38 @@ fn flush_reload_probe_has_pinned_counts() {
     assert_eq!(
         actual,
         "probe 248803 InstructionsRetired=30440 CoreCycles=664302 RefCycles=664302 Load=2312 Store=1 LlcReference=2310 LlcMiss=2304 L1dMiss=2312 L2Miss=2310 | 5 samples, pmc sums [188387, 2740, 2738, 2704]"
+    );
+}
+
+/// A compute-only program under K-LEB at 100 us counting kernel mode: 400
+/// blocks of 25 us with no memory traffic of their own, so between two
+/// samples nothing but the handler's kernel-line touches reaches the
+/// caches, and every sample after the first touches lines the one before
+/// left resident in L1d.
+#[test]
+fn compute_only_program_under_kleb_has_pinned_counts() {
+    let events = [
+        HwEvent::Load,
+        HwEvent::L1dMiss,
+        HwEvent::LlcReference,
+        HwEvent::LlcMiss,
+    ];
+    let mut m = Machine::new(MachineConfig::i7_920(42));
+    let program = FixedBlocks::new(400, WorkBlock::compute(100_000, 66_700));
+    let outcome = Monitor::new(&events, Duration::from_micros(100))
+        .count_kernel(true)
+        .run(&mut m, "compute", Box::new(program))
+        .expect("monitored program");
+    let sums: Vec<u64> = (0..events.len())
+        .map(|i| outcome.samples.iter().map(|s| s.pmc[i]).sum())
+        .collect();
+    let (l1d, l2, llc) = m.mem(CoreId(0)).level_stats();
+    let actual = format!(
+        "{} samples, pmc sums {sums:?} | l1d {l1d:?} | l2 {l2:?} | llc {llc:?}",
+        outcome.samples.len()
+    );
+    assert_eq!(
+        actual,
+        "259 samples, pmc sums [9675558, 400, 400, 400] | l1d CacheStats { accesses: 103600, hits: 103200, misses: 400, evictions: 0, writebacks: 0, flushes: 0 } | l2 CacheStats { accesses: 400, hits: 0, misses: 400, evictions: 0, writebacks: 0, flushes: 0 } | llc CacheStats { accesses: 400, hits: 0, misses: 400, evictions: 0, writebacks: 0, flushes: 0 }"
     );
 }

@@ -22,18 +22,28 @@ impl CacheConfig {
     /// `line_size` is below 4 (a way keeps its valid and dirty flags in the
     /// line-offset bits of its address), or if `ways` is 0.
     pub fn new(line_size: u32, sets: u32, ways: u32) -> Self {
-        assert!(
-            line_size.is_power_of_two(),
-            "line size must be a power of two"
-        );
-        assert!(line_size >= 4, "line size must be at least 4 bytes");
-        assert!(sets.is_power_of_two(), "set count must be a power of two");
-        assert!(ways > 0, "associativity must be non-zero");
-        Self {
+        let config = Self {
             line_size,
             sets,
             ways,
-        }
+        };
+        config.validate();
+        config
+    }
+
+    /// Panics as [`CacheConfig::new`] documents. The fields are public, so
+    /// [`Cache::new`] checks again what a struct literal skipped.
+    fn validate(&self) {
+        assert!(
+            self.line_size.is_power_of_two(),
+            "line size must be a power of two"
+        );
+        assert!(self.line_size >= 4, "line size must be at least 4 bytes");
+        assert!(
+            self.sets.is_power_of_two(),
+            "set count must be a power of two"
+        );
+        assert!(self.ways > 0, "associativity must be non-zero");
     }
 
     /// Total capacity in bytes.
@@ -140,7 +150,13 @@ pub struct Cache {
 
 impl Cache {
     /// Creates an empty cache with the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a geometry [`CacheConfig::new`] would reject, also when
+    /// `config` was built as a struct literal.
     pub fn new(config: CacheConfig) -> Self {
+        config.validate();
         Self {
             config,
             ways: vec![Way::default(); (config.sets * config.ways) as usize],
@@ -164,6 +180,15 @@ impl Cache {
     /// Resets statistics without touching cache contents.
     pub fn reset_stats(&mut self) {
         self.stats = CacheStats::default();
+    }
+
+    /// Counts `n` lookups that hit, without visiting a set: all a replay of
+    /// hits on resident lines, in the order they were last touched, would
+    /// change. The caller vouches for that order.
+    #[inline]
+    pub(crate) fn count_hits(&mut self, n: u64) {
+        self.stats.accesses += n;
+        self.stats.hits += n;
     }
 
     /// The word a valid, clean way holding `addr`'s line carries.
@@ -351,6 +376,50 @@ mod tests {
     #[should_panic(expected = "at least 4 bytes")]
     fn line_below_four_bytes_panics() {
         CacheConfig::new(2, 2, 2);
+    }
+
+    // A struct literal skips `CacheConfig::new`; `Cache::new` must not
+    // trust it. Unchecked, a 2-byte line keeps the same line resident
+    // twice, 3 sets never use set 1, and 0 ways panic on the first fill.
+
+    #[test]
+    #[should_panic(expected = "line size must be a power of two")]
+    fn literal_with_non_power_of_two_line_panics() {
+        Cache::new(CacheConfig {
+            line_size: 48,
+            sets: 2,
+            ways: 2,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 4 bytes")]
+    fn literal_with_line_below_four_bytes_panics() {
+        Cache::new(CacheConfig {
+            line_size: 2,
+            sets: 1,
+            ways: 4,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "set count must be a power of two")]
+    fn literal_with_non_power_of_two_sets_panics() {
+        Cache::new(CacheConfig {
+            line_size: 64,
+            sets: 3,
+            ways: 2,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "associativity must be non-zero")]
+    fn literal_with_zero_ways_panics() {
+        Cache::new(CacheConfig {
+            line_size: 64,
+            sets: 2,
+            ways: 0,
+        });
     }
 
     #[test]

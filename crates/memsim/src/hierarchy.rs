@@ -162,6 +162,10 @@ pub struct Hierarchy {
     l2: Cache,
     llc: Cache,
     latency: LatencyModel,
+    /// The pattern the last [`Hierarchy::run`] played, kept while a replay
+    /// of it would only hit L1d: every access of it did, and no `access`,
+    /// `clflush` or `flush_all` has come since.
+    repeat: Option<AccessPattern>,
 }
 
 impl Hierarchy {
@@ -172,6 +176,7 @@ impl Hierarchy {
             l2: Cache::new(config.l2),
             llc: Cache::new(config.llc),
             latency: config.latency,
+            repeat: None,
         }
     }
 
@@ -191,6 +196,13 @@ impl Hierarchy {
     /// where the line will be installed on the way back in.
     #[inline]
     pub fn access(&mut self, addr: u64, kind: AccessKind) -> AccessResult {
+        self.repeat = None;
+        self.play(addr, kind)
+    }
+
+    /// [`Hierarchy::access`], leaving the remembered pattern to the caller.
+    #[inline]
+    fn play(&mut self, addr: u64, kind: AccessKind) -> AccessResult {
         let write = kind.is_write();
         let lat = self.latency;
         let Lookup::Miss(mut l1_slot) = self.l1d.lookup(addr, write) else {
@@ -217,14 +229,29 @@ impl Hierarchy {
 
     /// Performs every access of `pattern`, in order, exactly as
     /// [`Hierarchy::access`] would; the effect shows in [`Hierarchy::stats`].
+    ///
+    /// An exact repeat visits no set. If the previous call ran an equal
+    /// pattern, every access of it hit L1d, and no `access`, `clflush` or
+    /// `flush_all` came in between, then a replay would hit the same
+    /// resident lines in the same order: it would set no new dirty bit,
+    /// leave every set's recency order as it is and reach no outer level.
+    /// So the call only adds the pattern's length to L1d's accesses and
+    /// hits, and every later result, statistic and eviction is the same.
     pub fn run(&mut self, pattern: &AccessPattern) {
-        for (addr, kind) in pattern.cursor() {
-            self.access(addr, kind);
+        if self.repeat == Some(*pattern) {
+            self.l1d.count_hits(pattern.len());
+            return;
         }
+        let misses = self.l1d.stats().misses;
+        for (addr, kind) in pattern.cursor() {
+            self.play(addr, kind);
+        }
+        self.repeat = (self.l1d.stats().misses == misses).then_some(*pattern);
     }
 
     /// Flushes the line containing `addr` from every level (`clflush`).
     pub fn clflush(&mut self, addr: u64) {
+        self.repeat = None;
         self.l1d.flush_line(addr);
         self.l2.flush_line(addr);
         self.llc.flush_line(addr);
@@ -232,6 +259,7 @@ impl Hierarchy {
 
     /// Flushes all levels entirely.
     pub fn flush_all(&mut self) {
+        self.repeat = None;
         self.l1d.flush_all();
         self.l2.flush_all();
         self.llc.flush_all();
@@ -384,6 +412,34 @@ mod tests {
         h.access(0x0400, AccessKind::Write);
         let (l1, _, _) = h.level_stats();
         assert!(l1.writebacks >= 1);
+    }
+
+    #[test]
+    fn run_remembers_a_pattern_while_its_replay_would_hit_l1() {
+        let mut h = Hierarchy::tiny();
+        let p = AccessPattern::Sequential {
+            base: 0,
+            stride: 64,
+            count: 4,
+            kind: AccessKind::Write,
+        };
+        h.run(&p);
+        assert_eq!(h.repeat, None, "the cold run missed");
+        h.run(&p);
+        assert_eq!(h.repeat, Some(p));
+        h.reset_stats();
+        h.run(&p);
+        assert_eq!(h.repeat, Some(p), "statistics do not decide hits");
+        let (l1, l2, _) = h.level_stats();
+        assert_eq!((l1.accesses, l1.hits, l2.accesses), (4, 4, 0));
+        h.access(0, AccessKind::Read);
+        assert_eq!(h.repeat, None);
+        h.run(&p);
+        h.clflush(0x4000);
+        assert_eq!(h.repeat, None);
+        h.run(&p);
+        h.flush_all();
+        assert_eq!(h.repeat, None);
     }
 
     #[test]

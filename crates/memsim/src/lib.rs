@@ -35,10 +35,18 @@
 //! - [`MemStats`] is derived from the per-level counters, not kept twice.
 //!   [`Hierarchy::run`] plays a whole [`AccessPattern`], and the effect of
 //!   a run shows as the difference of two [`Hierarchy::stats`] reads.
+//! - An exact repeat is not replayed. When a run hit L1d on every access
+//!   and the next run plays an equal pattern with no `access`, `clflush`
+//!   or `flush_all` in between, the replay would hit the same lines in the
+//!   same order and change nothing but L1d's access and hit counts, so
+//!   [`Hierarchy::run`] adds the pattern's length to those and returns.
+//!   The K-LEB handler's per-sample kernel-line touches of a program with
+//!   no memory traffic of its own are such repeats.
 //!
 //! Replacement is exact true LRU. The crate's tests check every result,
 //! statistic and residency against a plain two-pass model of the same
-//! hierarchy over random streams of reads, writes and flushes.
+//! hierarchy over random streams of reads, writes, flushes and repeated
+//! pattern runs.
 //!
 //! # Example
 //!

@@ -6,9 +6,11 @@
 //! probe scans the set for the tag; a fill scans it again for the first
 //! invalid way, else the way with the oldest timestamp. Invalid ways may
 //! sit anywhere in a set, and the hierarchy keeps its own `MemStats`.
+//! A run of a pattern plays its accesses one by one.
 
 use crate::cache::{CacheConfig, CacheStats};
 use crate::hierarchy::{AccessKind, AccessResult, HierarchyConfig, LatencyModel, MemStats};
+use crate::pattern::AccessPattern;
 
 #[derive(Debug, Clone, Copy, Default)]
 struct Line {
@@ -208,6 +210,12 @@ impl RefHierarchy {
         r
     }
 
+    pub(crate) fn run(&mut self, pattern: &AccessPattern) {
+        for (addr, kind) in pattern.cursor() {
+            self.access(addr, kind);
+        }
+    }
+
     pub(crate) fn clflush(&mut self, addr: u64) {
         self.l1d.flush_line(addr);
         self.l2.flush_line(addr);
@@ -244,12 +252,13 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
-    use crate::{Cache, Hierarchy};
+    use crate::{AccessPattern, Cache, Hierarchy};
 
     /// One step of a random interleaving.
     #[derive(Debug, Clone, Copy)]
     enum Op {
         Access(u64, AccessKind),
+        Run(AccessPattern),
         Clflush(u64),
         FlushAll,
         ResetStats,
@@ -258,28 +267,81 @@ mod tests {
     /// Builds an op stream over three groups of `lines` candidate lines.
     /// `stride` is the distance between two addresses in the same LLC set,
     /// so the lines of one group compete for one LLC set (and one L2 and
-    /// one L1d set). Half of the draws stay within a group's first 12
-    /// lines, so inner levels hit too.
-    fn ops(draws: &[(u32, u64, u64)], stride: u64, lines: u64) -> Vec<(Op, u64)> {
+    /// one L1d set, which has `ways` ways). Half of the draws stay within a
+    /// group's first 12 lines, so inner levels hit too.
+    ///
+    /// A run draw plays a pattern starting at a candidate line, and five in
+    /// nine play it again: right away, or after an access to the next line
+    /// of its set, a `clflush` of its first line, a `flush_all` or a
+    /// `reset_stats`. Patterns that fill the L1d set exactly or overflow it
+    /// make repeats that miss.
+    fn ops(draws: &[(u32, u64, u64)], stride: u64, lines: u64, ways: u64) -> Vec<(Op, u64)> {
         draws
             .iter()
-            .map(|&(op, pick, other)| {
+            .flat_map(|&(op, pick, other)| {
                 let line = |x: u64| {
                     let group = x % 3;
                     let k = (x / 3) % if x & (1 << 40) != 0 { 12 } else { lines };
                     group * 64 + k * stride + (x >> 48) % 64
                 };
                 let addr = line(pick);
+                let other = line(other);
                 let op = match op {
-                    0..=59 => Op::Access(addr, AccessKind::Read),
-                    60..=89 => Op::Access(addr, AccessKind::Write),
-                    90..=96 => Op::Clflush(addr),
-                    97 => Op::ResetStats,
-                    _ => Op::FlushAll,
+                    0..=49 => Op::Access(addr, AccessKind::Read),
+                    50..=74 => Op::Access(addr, AccessKind::Write),
+                    75..=81 => Op::Clflush(addr),
+                    82 => Op::ResetStats,
+                    83 => Op::FlushAll,
+                    _ => {
+                        let run = (Op::Run(pattern(pick, addr, stride, ways)), other);
+                        let between = match (pick >> 24) % 9 {
+                            0..=3 => return vec![run],
+                            4 => vec![],
+                            5 => vec![(Op::Access(addr + ways * stride, AccessKind::Read), other)],
+                            6 => vec![(Op::Clflush(addr), other)],
+                            7 => vec![(Op::FlushAll, other)],
+                            _ => vec![(Op::ResetStats, other)],
+                        };
+                        return [vec![run], between, vec![run]].concat();
+                    }
                 };
-                (op, line(other))
+                vec![(op, other)]
             })
             .collect()
+    }
+
+    /// A pattern starting at `base`, drawn from bits 16 to 23 of `x`: one
+    /// access, a few consecutive lines, `ways - 1` to `ways + 1` lines of
+    /// one L1d set, or a few random addresses from one of four seeds.
+    fn pattern(x: u64, base: u64, stride: u64, ways: u64) -> AccessPattern {
+        let kind = if x & (1 << 16) != 0 {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        };
+        let n = (x >> 17) % 8;
+        match (x >> 20) % 4 {
+            0 => AccessPattern::Single { addr: base, kind },
+            1 => AccessPattern::Sequential {
+                base,
+                stride: 64,
+                count: 1 + n,
+                kind,
+            },
+            2 => AccessPattern::Sequential {
+                base,
+                stride,
+                count: ways - 1 + n % 3,
+                kind,
+            },
+            _ => AccessPattern::Random {
+                base,
+                extent: ways * stride,
+                count: 1 + n,
+                seed: (x >> 22) % 4,
+                kind,
+            },
+        }
     }
 
     /// Runs `ops` through both hierarchies, comparing every result,
@@ -288,34 +350,38 @@ mod tests {
         let mut fast = Hierarchy::new(config);
         let mut oracle = RefHierarchy::new(config);
         for (step, &(op, other)) in ops.iter().enumerate() {
-            let addr = match op {
+            let mut touched = vec![other];
+            match op {
                 Op::Access(addr, kind) => {
                     assert_eq!(
                         fast.access(addr, kind),
                         oracle.access(addr, kind),
                         "step {step}: {op:?}"
                     );
-                    addr
+                    touched.push(addr);
+                }
+                Op::Run(pattern) => {
+                    fast.run(&pattern);
+                    oracle.run(&pattern);
+                    touched.extend(pattern.cursor().map(|(addr, _)| addr));
                 }
                 Op::Clflush(addr) => {
                     fast.clflush(addr);
                     oracle.clflush(addr);
-                    addr
+                    touched.push(addr);
                 }
                 Op::FlushAll => {
                     fast.flush_all();
                     oracle.flush_all();
-                    other
                 }
                 Op::ResetStats => {
                     fast.reset_stats();
                     oracle.reset_stats();
-                    other
                 }
-            };
+            }
             assert_eq!(fast.level_stats(), oracle.level_stats(), "step {step}");
             assert_eq!(fast.stats(), oracle.stats(), "step {step}");
-            for a in [addr, other] {
+            for a in touched {
                 assert_eq!(fast.is_cached(a), oracle.is_cached(a), "step {step}");
             }
         }
@@ -330,14 +396,14 @@ mod tests {
 
         #[test]
         fn tiny_matches_the_reference(draws in draws()) {
-            // Tiny LLC: 64 sets x 4 ways of 64 B.
-            compare(HierarchyConfig::tiny(), &ops(&draws, 64 * 64, 24));
+            // Tiny LLC: 64 sets x 4 ways of 64 B; L1d 2 ways.
+            compare(HierarchyConfig::tiny(), &ops(&draws, 64 * 64, 24, 2));
         }
 
         #[test]
         fn i7_920_matches_the_reference(draws in draws()) {
-            // i7-920 LLC: 8192 sets x 16 ways of 64 B.
-            compare(HierarchyConfig::i7_920(), &ops(&draws, 8192 * 64, 40));
+            // i7-920 LLC: 8192 sets x 16 ways of 64 B; L1d 8 ways.
+            compare(HierarchyConfig::i7_920(), &ops(&draws, 8192 * 64, 40, 8));
         }
 
         #[test]
@@ -345,8 +411,9 @@ mod tests {
             let config = CacheConfig::new(64, 4, 4);
             let mut fast = Cache::new(config);
             let mut oracle = RefCache::new(config);
-            for (step, &(op, other)) in ops(&draws, 4 * 64, 12).iter().enumerate() {
+            for (step, &(op, other)) in ops(&draws, 4 * 64, 12, 4).iter().enumerate() {
                 // Even addresses access (and fill on a miss); odd ones probe.
+                // A run accesses every address of its pattern.
                 match op {
                     Op::Access(addr, kind) if addr & 1 == 0 => assert_eq!(
                         fast.access(addr, kind.is_write()),
@@ -358,6 +425,15 @@ mod tests {
                         oracle.probe(addr, kind.is_write()),
                         "step {step}"
                     ),
+                    Op::Run(pattern) => {
+                        for (addr, kind) in pattern.cursor() {
+                            assert_eq!(
+                                fast.access(addr, kind.is_write()),
+                                oracle.access(addr, kind.is_write()),
+                                "step {step}"
+                            );
+                        }
+                    }
                     Op::Clflush(addr) => {
                         assert_eq!(fast.flush_line(addr), oracle.flush_line(addr));
                     }
@@ -406,6 +482,63 @@ mod tests {
                     ops.push((Op::Clflush((k - 2) * stride), (k - 1) * stride));
                 }
             }
+            compare(config, &ops);
+        }
+    }
+
+    /// Every way a remembered run is replayed or forgotten, on both
+    /// geometries: an immediate repeat, repeats after each op that does or
+    /// does not change what the replay finds in L1d, a run that hit
+    /// everywhere but once and whose replay misses throughout, and a
+    /// different run in between.
+    #[test]
+    fn repeated_runs_match_the_reference() {
+        for config in [HierarchyConfig::tiny(), HierarchyConfig::i7_920()] {
+            // Lines `l1` apart share an L1d set.
+            let l1 = config.l1d.sets as u64 * config.l1d.line_size as u64;
+            let ways = config.l1d.ways as u64;
+            let set = |count, kind| AccessPattern::Sequential {
+                base: 0,
+                stride: l1,
+                count,
+                kind,
+            };
+            // Fills one L1d set exactly; `next` is the set's next line.
+            let full = set(ways, AccessKind::Read);
+            let dirty = set(ways, AccessKind::Write);
+            let next = ways * l1;
+            let run = |p| (Op::Run(p), next);
+            let ops = [
+                // Cold, then hitting throughout (remembered), then repeated.
+                run(full),
+                run(full),
+                run(full),
+                (Op::ResetStats, 0),
+                run(full),
+                // The access evicts `full`'s oldest line.
+                (Op::Access(next, AccessKind::Read), 0),
+                run(full),
+                run(full),
+                (Op::Clflush(l1), 0),
+                run(full),
+                run(full),
+                (Op::FlushAll, 0),
+                run(full),
+                run(full),
+                // Hits on `full`'s lines, then one miss evicts the oldest
+                // of them, so every replay misses throughout.
+                run(set(ways + 1, AccessKind::Write)),
+                run(set(ways + 1, AccessKind::Write)),
+                run(dirty),
+                run(dirty),
+                run(dirty),
+                run(AccessPattern::Single {
+                    addr: next,
+                    kind: AccessKind::Read,
+                }),
+                run(dirty),
+                run(set(ways + 1, AccessKind::Read)),
+            ];
             compare(config, &ops);
         }
     }

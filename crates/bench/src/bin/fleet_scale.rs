@@ -57,7 +57,7 @@ fn main() {
             })
             .collect();
         let outcome = FleetRunner::new(config).run(specs).expect("fleet run");
-        let samples = outcome.metrics.samples_ingested();
+        let samples = outcome.metrics.samples_ingested;
         let secs = outcome.elapsed.as_secs_f64();
         assert_eq!(
             outcome.channel.total_dropped(),
@@ -71,7 +71,7 @@ fn main() {
             format!("{:.0}", samples as f64 / secs),
             format!("{}", outcome.channel.depth_high_water),
             outcome.channel.block_waits.to_string(),
-            outcome.metrics.samples_dropped().to_string(),
+            outcome.metrics.samples_dropped.to_string(),
         ]);
     }
     println!("{}", t.render());

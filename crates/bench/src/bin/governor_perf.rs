@@ -91,7 +91,7 @@ fn score(label: &str, outcome: &FleetOutcome) -> Scored {
         span_ns,
         proxy: overhead_proxy(delivered, dropped, span_ns, DROP_PENALTY),
         coverage: sample_coverage(delivered, span_ns),
-        retunes: outcome.metrics.governor_retunes(),
+        retunes: outcome.metrics.governor_retunes,
     }
 }
 

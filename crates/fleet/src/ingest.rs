@@ -13,7 +13,7 @@
 //! each publication — a `SeqCst` fence on both sides of the handshake
 //! means either the collector's re-sweep sees the new samples or the
 //! producer sees `parked == true` and rings the bell; the bounded
-//! `Condvar` timeout (the watchdog's poll interval) is the safety net
+//! `Condvar` timeout (the collector's poll interval) is the safety net
 //! for the remaining pathological schedules, costing at worst one poll
 //! interval of latency, never a lost sample.
 //!
@@ -205,11 +205,11 @@ impl Drop for RingSender {
         // Publish end-of-stream *before* ringing: `finish()` orders the
         // done flag ahead of the wakeup, so a parked collector that the
         // bell rouses is guaranteed to observe the disconnect instead of
-        // re-parking until its watchdog timeout.
+        // re-parking until its poll timeout.
         if std::thread::panicking() {
             // Unwinding teardown: the inner producer's own drop still
-            // flushes the ledger; skip the doorbell (the watchdog
-            // timeout covers delivery, and under `cfg(kloom)` scheduler
+            // flushes the ledger; skip the doorbell (the poll timeout
+            // covers delivery, and under `cfg(kloom)` scheduler
             // ops are off-limits during a panic).
             return;
         }
@@ -279,9 +279,9 @@ impl RingCollector {
     }
 
     /// Collects the next available samples into `scratch` (cleared
-    /// first), waiting at most `timeout` while every ring is empty. The
-    /// timeout is the collector's watchdog heartbeat: a
-    /// [`Polled::Timeout`] means no machine has produced anything lately.
+    /// first), waiting at most `timeout` while every ring is empty. A
+    /// [`Polled::Timeout`] only means the wait ran out; the caller
+    /// simply polls again.
     pub fn poll(&mut self, timeout: std::time::Duration, scratch: &mut Vec<Sample>) -> Polled {
         scratch.clear();
         if let Some(machine) = self.sweep(scratch) {
@@ -308,7 +308,7 @@ impl RingCollector {
                 let mut timed_out = false;
                 if !*guard {
                     // No ring latched since the re-sweep: wait for one
-                    // (or the watchdog timeout). A ring that lands from
+                    // (or the poll timeout). A ring that lands from
                     // here on holds the lock, so it either finds us
                     // waiting (notify) or latches the bit, which the
                     // next pass consumes instead of waiting.
@@ -331,8 +331,7 @@ impl RingCollector {
                     break Polled::Disconnected;
                 }
                 if timed_out {
-                    // Only a genuine timer expiry surfaces as Timeout —
-                    // the caller treats it as the watchdog heartbeat.
+                    // Only a genuine timer expiry surfaces as Timeout.
                     break Polled::Timeout;
                 }
                 // Spurious wakeup (a stale latch, or a disconnect ring

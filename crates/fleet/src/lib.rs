@@ -8,10 +8,16 @@
 //! machine ([`ingest`]) with an explicit [`Backpressure`] policy into a
 //! sharded [`FleetStore`], where
 //! windowed queries and the [`detect`] fan-in pass operate across the
-//! fleet. The pipeline observes itself through [`FleetMetrics`], and the
-//! [`governor`] module can hold the whole fleet inside an aggregate
-//! sampling budget while each machine's AIMD loop rides out its own
-//! pressure bursts.
+//! fleet. The pipeline observes itself through [`FleetMetrics`], a
+//! summary of each run's reports, and the [`governor`] module can hold
+//! the whole fleet inside an aggregate sampling budget while each
+//! machine's AIMD loop rides out its own pressure bursts.
+//!
+//! Under [`Backpressure::Block`] every digested result is a function of
+//! the seeds alone: machines stamp samples in simulated time, a panicked
+//! machine restarts at once, and host time reaches only
+//! [`FleetOutcome::elapsed`] and the drain latency in [`FleetMetrics`],
+//! neither of which is digested.
 //!
 //! ```
 //! use fleet::{FleetConfig, FleetRunner, MachineSpec};
@@ -34,7 +40,6 @@
 //! # Ok::<(), fleet::FleetError>(())
 //! ```
 
-pub mod clock;
 pub mod detect;
 pub mod governor;
 pub mod ingest;
@@ -43,9 +48,7 @@ pub mod metrics;
 pub mod runner;
 pub mod store;
 pub mod supervisor;
-pub mod watchdog;
 
-pub use clock::{Clock, MonotonicClock, TickClock};
 pub use detect::{scan_fleet, verdict_table, AnomalyConfig, FleetAnomalyReport, MachineVerdict};
 pub use governor::{GovernorPolicy, GovernorReport};
 pub use ingest::{ring_fanin, Backpressure, ChannelStats, Polled, RingCollector, RingSender};
@@ -56,7 +59,6 @@ pub use runner::{
 };
 pub use store::{FleetStore, Lane, MachineSnapshot, Point, StoreStats, Window};
 pub use supervisor::{
-    backoff_delay_ns, panic_message, BreakerState, CircuitBreaker, FailureKind, HealthReport,
-    MachineFailure, SupervisedRun, SupervisorPolicy,
+    panic_message, BreakerState, CircuitBreaker, FailureKind, HealthReport, MachineFailure,
+    SupervisedRun, SupervisorPolicy,
 };
-pub use watchdog::{StreamWatchdog, WatchdogEvent, WatchdogReport};

@@ -2,29 +2,35 @@
 //!
 //! K-LEB's pitch is that monitoring must not perturb the monitored
 //! system; at fleet scale the collector itself becomes a system worth
-//! monitoring. [`FleetMetrics`] is a lock-free set of atomic counters
-//! plus a log2-bucketed latency histogram, updated from the ingest path
+//! monitoring. [`FleetMetrics`] is a plain summary built once per run,
+//! after every machine has joined, from the reports that own each count
+//! (fan-in, store, supervision, governance) plus the collector's
+//! log2-bucketed drain-latency histogram, one value per drained batch,
 //! and rendered as a table through `analysis::table`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use analysis::TextTable;
 
+use crate::governor::GovernorReport;
+use crate::ingest::ChannelStats;
+use crate::store::StoreStats;
+use crate::supervisor::HealthReport;
+
 const BUCKETS: usize = 64;
 
-/// Lock-free histogram over `u64` nanosecond values, bucketed by
-/// power-of-two magnitude: bucket *i* holds values in `[2^i, 2^(i+1))`
-/// (bucket 0 also holds zero).
-#[derive(Debug)]
+/// Histogram over `u64` nanosecond values, bucketed by power-of-two
+/// magnitude: bucket *i* holds values in `[2^i, 2^(i+1))` (bucket 0
+/// also holds zero).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyHistogram {
-    buckets: [AtomicU64; BUCKETS],
+    buckets: [u64; BUCKETS],
 }
 
 impl Default for LatencyHistogram {
     fn default() -> Self {
         Self {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            buckets: [0; BUCKETS],
         }
     }
 }
@@ -36,14 +42,14 @@ impl LatencyHistogram {
     }
 
     /// Records one value.
-    pub fn record(&self, value_ns: u64) {
+    pub fn record(&mut self, value_ns: u64) {
         let bucket = (64 - value_ns.leading_zeros()).saturating_sub(1) as usize;
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
+        self.buckets[bucket] += 1;
     }
 
     /// Total recorded values.
     pub fn count(&self) -> u64 {
-        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
+        self.buckets.iter().sum()
     }
 
     /// Upper bound of the bucket containing the `p`-th percentile value
@@ -56,7 +62,7 @@ impl LatencyHistogram {
         let target = ((p / 100.0) * total as f64).ceil().max(1.0) as u64;
         let mut seen = 0;
         for (i, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
+            seen += b;
             if seen >= target {
                 return if i + 1 >= 64 {
                     u64::MAX
@@ -69,251 +75,111 @@ impl LatencyHistogram {
     }
 }
 
-/// Atomic counters for the whole pipeline. Share via `Arc`; every method
-/// takes `&self`.
-#[derive(Debug, Default)]
+/// The pipeline's self-metrics for one run.
+///
+/// `#[non_exhaustive]`: only the runner assembles one, at the end of a
+/// run; the fields are readable everywhere.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[non_exhaustive]
 pub struct FleetMetrics {
-    samples_ingested: AtomicU64,
-    batches_ingested: AtomicU64,
-    samples_dropped: AtomicU64,
-    samples_rejected: AtomicU64,
-    channel_depth_hwm: AtomicU64,
-    stream_stalls: AtomicU64,
-    stream_resumes: AtomicU64,
-    machine_restarts: AtomicU64,
-    machine_failures: AtomicU64,
-    machines_lost: AtomicU64,
-    breaker_trips: AtomicU64,
-    governor_retunes: AtomicU64,
-    governor_clamps: AtomicU64,
-    governor_oscillations: AtomicU64,
+    /// Samples handed to the store, accepted or rejected.
+    pub samples_ingested: u64,
+    /// Batches the collector drained into the store.
+    pub batches_ingested: u64,
+    /// Samples lost to ring backpressure.
+    pub samples_dropped: u64,
+    /// Samples the store refused (timestamp regression).
+    pub samples_rejected: u64,
+    /// Deepest any stream's ring ever got, in samples.
+    pub channel_depth_hwm: u64,
+    /// Supervisor restarts (machines rebuilt after a panic).
+    pub machine_restarts: u64,
+    /// Recorded machine failures (panics, monitor errors, trace I/O),
+    /// across all attempts.
+    pub machine_failures: u64,
+    /// Machines lost for good (restart budget exhausted or a
+    /// non-retryable error).
+    pub machines_lost: u64,
+    /// Circuit-breaker trips.
+    pub breaker_trips: u64,
+    /// Rate-governor retunes (period changes issued by the AIMD loop).
+    pub governor_retunes: u64,
+    /// Governor backoffs cut short by the period ceiling.
+    pub governor_clamps: u64,
+    /// Governor direction reversals (hunting indicator).
+    pub governor_oscillations: u64,
     /// Wall time from a batch leaving its ring to its samples resting in
     /// the store.
-    drain_latency: LatencyHistogram,
+    pub drain_latency: LatencyHistogram,
 }
 
 impl FleetMetrics {
-    /// Fresh, all-zero metrics.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one drained-and-stored batch.
-    pub fn record_batch(&self, samples: u64, drain_latency_ns: u64) {
-        self.batches_ingested.fetch_add(1, Ordering::Relaxed);
-        self.samples_ingested.fetch_add(samples, Ordering::Relaxed);
-        self.drain_latency.record(drain_latency_ns);
-    }
-
-    /// Adds samples lost to channel backpressure.
-    pub fn add_dropped(&self, samples: u64) {
-        self.samples_dropped.fetch_add(samples, Ordering::Relaxed);
-    }
-
-    /// Adds samples the store refused (timestamp regression).
-    pub fn add_rejected(&self, samples: u64) {
-        self.samples_rejected.fetch_add(samples, Ordering::Relaxed);
-    }
-
-    /// Records one watchdog stall episode (a stream went silent past the
-    /// stall timeout and was quarantined).
-    pub fn add_stall(&self) {
-        self.stream_stalls.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one watchdog resume (a quarantined stream came back).
-    pub fn add_resume(&self) {
-        self.stream_resumes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adds supervisor restarts (machines rebuilt after a panic).
-    pub fn add_restarts(&self, restarts: u64) {
-        self.machine_restarts.fetch_add(restarts, Ordering::Relaxed);
-    }
-
-    /// Adds recorded machine failures (panics, monitor errors, trace
-    /// I/O), across all attempts.
-    pub fn add_machine_failures(&self, failures: u64) {
-        self.machine_failures.fetch_add(failures, Ordering::Relaxed);
-    }
-
-    /// Records one machine lost for good (restart budget exhausted or a
-    /// non-retryable error).
-    pub fn add_machine_lost(&self) {
-        self.machines_lost.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adds circuit-breaker trips from the supervisor.
-    pub fn add_breaker_trips(&self, trips: u64) {
-        self.breaker_trips.fetch_add(trips, Ordering::Relaxed);
-    }
-
-    /// Adds rate-governor retunes (period changes issued by the AIMD
-    /// loop).
-    pub fn add_retunes(&self, retunes: u64) {
-        self.governor_retunes.fetch_add(retunes, Ordering::Relaxed);
-    }
-
-    /// Adds governor backoffs cut short by the period ceiling.
-    pub fn add_retune_clamps(&self, clamps: u64) {
-        self.governor_clamps.fetch_add(clamps, Ordering::Relaxed);
-    }
-
-    /// Adds governor direction reversals (hunting indicator).
-    pub fn add_retune_oscillations(&self, oscillations: u64) {
-        self.governor_oscillations
-            .fetch_add(oscillations, Ordering::Relaxed);
-    }
-
-    /// Raises the recorded fan-in depth high-water mark to `depth`
-    /// samples.
-    pub fn observe_depth_hwm(&self, depth: u64) {
-        self.channel_depth_hwm.fetch_max(depth, Ordering::Relaxed);
-    }
-
-    /// Samples stored so far.
-    pub fn samples_ingested(&self) -> u64 {
-        self.samples_ingested.load(Ordering::Relaxed)
-    }
-
-    /// Batches stored so far.
-    pub fn batches_ingested(&self) -> u64 {
-        self.batches_ingested.load(Ordering::Relaxed)
-    }
-
-    /// Samples lost to backpressure so far.
-    pub fn samples_dropped(&self) -> u64 {
-        self.samples_dropped.load(Ordering::Relaxed)
-    }
-
-    /// Samples refused by the store so far.
-    pub fn samples_rejected(&self) -> u64 {
-        self.samples_rejected.load(Ordering::Relaxed)
-    }
-
-    /// Deepest any stream's ring ever got, in samples.
-    pub fn channel_depth_hwm(&self) -> u64 {
-        self.channel_depth_hwm.load(Ordering::Relaxed)
-    }
-
-    /// Watchdog stall episodes so far.
-    pub fn stream_stalls(&self) -> u64 {
-        self.stream_stalls.load(Ordering::Relaxed)
-    }
-
-    /// Watchdog resumes so far.
-    pub fn stream_resumes(&self) -> u64 {
-        self.stream_resumes.load(Ordering::Relaxed)
-    }
-
-    /// Supervisor restarts so far.
-    pub fn machine_restarts(&self) -> u64 {
-        self.machine_restarts.load(Ordering::Relaxed)
-    }
-
-    /// Recorded machine failures so far.
-    pub fn machine_failures(&self) -> u64 {
-        self.machine_failures.load(Ordering::Relaxed)
-    }
-
-    /// Machines lost for good so far.
-    pub fn machines_lost(&self) -> u64 {
-        self.machines_lost.load(Ordering::Relaxed)
-    }
-
-    /// Circuit-breaker trips so far.
-    pub fn breaker_trips(&self) -> u64 {
-        self.breaker_trips.load(Ordering::Relaxed)
-    }
-
-    /// Governor retunes so far.
-    pub fn governor_retunes(&self) -> u64 {
-        self.governor_retunes.load(Ordering::Relaxed)
-    }
-
-    /// Governor ceiling clamps so far.
-    pub fn governor_clamps(&self) -> u64 {
-        self.governor_clamps.load(Ordering::Relaxed)
-    }
-
-    /// Governor direction reversals so far.
-    pub fn governor_oscillations(&self) -> u64 {
-        self.governor_oscillations.load(Ordering::Relaxed)
-    }
-
-    /// The drain-latency histogram.
-    pub fn drain_latency(&self) -> &LatencyHistogram {
-        &self.drain_latency
+    /// Sums one run's reports. `drain_latency` is the collector's own,
+    /// with one value per batch it drained; every other count belongs to
+    /// the report it is read from.
+    pub(crate) fn from_reports(
+        drain_latency: LatencyHistogram,
+        channel: &ChannelStats,
+        store: StoreStats,
+        health: &[HealthReport],
+        governors: &[GovernorReport],
+    ) -> Self {
+        Self {
+            samples_ingested: store.appended + store.rejected,
+            batches_ingested: drain_latency.count(),
+            samples_dropped: channel.total_dropped(),
+            samples_rejected: store.rejected,
+            channel_depth_hwm: channel.depth_high_water as u64,
+            machine_restarts: health.iter().map(|h| u64::from(h.restarts)).sum(),
+            machine_failures: health.iter().map(|h| u64::from(h.failure_count)).sum(),
+            machines_lost: health.iter().filter(|h| h.failed).count() as u64,
+            breaker_trips: health.iter().map(|h| u64::from(h.breaker_trips)).sum(),
+            governor_retunes: governors.iter().map(|g| u64::from(g.stats.retunes)).sum(),
+            governor_clamps: governors.iter().map(|g| u64::from(g.stats.clamps)).sum(),
+            governor_oscillations: governors
+                .iter()
+                .map(|g| u64::from(g.stats.oscillations))
+                .sum(),
+            drain_latency,
+        }
     }
 
     /// Renders everything as a two-column table. `elapsed` is the
     /// collector's wall-clock run time, used for the ingest rate.
     pub fn render(&self, elapsed: Duration) -> String {
-        let ingested = self.samples_ingested();
         let rate = if elapsed.as_secs_f64() > 0.0 {
-            ingested as f64 / elapsed.as_secs_f64()
+            self.samples_ingested as f64 / elapsed.as_secs_f64()
         } else {
             0.0
         };
         let lat = |p: f64| format!("< {} µs", self.drain_latency.percentile_bound(p) / 1_000);
         let mut t = TextTable::new(&["self-metric", "value"]);
-        t.row_owned(vec!["samples ingested".into(), ingested.to_string()]);
-        t.row_owned(vec![
-            "batches ingested".into(),
-            self.batches_ingested().to_string(),
-        ]);
-        t.row_owned(vec!["ingest rate".into(), format!("{rate:.0} samples/s")]);
-        t.row_owned(vec![
-            "samples dropped".into(),
-            self.samples_dropped().to_string(),
-        ]);
-        t.row_owned(vec![
-            "samples rejected".into(),
-            self.samples_rejected().to_string(),
-        ]);
-        t.row_owned(vec![
-            "channel depth high-water".into(),
-            format!("{} samples", self.channel_depth_hwm()),
-        ]);
-        t.row_owned(vec![
-            "stream stalls".into(),
-            self.stream_stalls().to_string(),
-        ]);
-        t.row_owned(vec![
-            "stream resumes".into(),
-            self.stream_resumes().to_string(),
-        ]);
-        t.row_owned(vec![
-            "machine restarts".into(),
-            self.machine_restarts().to_string(),
-        ]);
-        t.row_owned(vec![
-            "machine failures".into(),
-            self.machine_failures().to_string(),
-        ]);
-        t.row_owned(vec![
-            "machines lost".into(),
-            self.machines_lost().to_string(),
-        ]);
-        t.row_owned(vec![
-            "breaker trips".into(),
-            self.breaker_trips().to_string(),
-        ]);
-        t.row_owned(vec![
-            "governor retunes".into(),
-            self.governor_retunes().to_string(),
-        ]);
-        t.row_owned(vec![
-            "governor clamps".into(),
-            self.governor_clamps().to_string(),
-        ]);
-        t.row_owned(vec![
-            "governor oscillations".into(),
-            self.governor_oscillations().to_string(),
-        ]);
-        t.row_owned(vec!["drain latency p50".into(), lat(50.0)]);
-        t.row_owned(vec!["drain latency p90".into(), lat(90.0)]);
-        t.row_owned(vec!["drain latency p99".into(), lat(99.0)]);
+        for (name, value) in [
+            ("samples ingested", self.samples_ingested.to_string()),
+            ("batches ingested", self.batches_ingested.to_string()),
+            ("ingest rate", format!("{rate:.0} samples/s")),
+            ("samples dropped", self.samples_dropped.to_string()),
+            ("samples rejected", self.samples_rejected.to_string()),
+            (
+                "channel depth high-water",
+                format!("{} samples", self.channel_depth_hwm),
+            ),
+            ("machine restarts", self.machine_restarts.to_string()),
+            ("machine failures", self.machine_failures.to_string()),
+            ("machines lost", self.machines_lost.to_string()),
+            ("breaker trips", self.breaker_trips.to_string()),
+            ("governor retunes", self.governor_retunes.to_string()),
+            ("governor clamps", self.governor_clamps.to_string()),
+            (
+                "governor oscillations",
+                self.governor_oscillations.to_string(),
+            ),
+            ("drain latency p50", lat(50.0)),
+            ("drain latency p90", lat(90.0)),
+            ("drain latency p99", lat(99.0)),
+        ] {
+            t.row_owned(vec![name.into(), value]);
+        }
         t.render()
     }
 }
@@ -324,7 +190,7 @@ mod tests {
 
     #[test]
     fn histogram_buckets_by_magnitude() {
-        let h = LatencyHistogram::new();
+        let mut h = LatencyHistogram::new();
         h.record(0);
         h.record(1);
         h.record(1023);
@@ -341,45 +207,23 @@ mod tests {
     }
 
     #[test]
-    fn counters_accumulate() {
-        let m = FleetMetrics::new();
-        m.record_batch(10, 500);
-        m.record_batch(5, 2_000);
-        m.add_dropped(3);
-        m.add_rejected(1);
-        m.add_stall();
-        m.add_stall();
-        m.add_resume();
-        m.add_retunes(4);
-        m.add_retune_clamps(2);
-        m.add_retune_oscillations(1);
-        m.observe_depth_hwm(4);
-        m.observe_depth_hwm(2);
-        assert_eq!(m.samples_ingested(), 15);
-        assert_eq!(m.batches_ingested(), 2);
-        assert_eq!(m.samples_dropped(), 3);
-        assert_eq!(m.samples_rejected(), 1);
-        assert_eq!(m.stream_stalls(), 2);
-        assert_eq!(m.stream_resumes(), 1);
-        assert_eq!(m.channel_depth_hwm(), 4, "hwm is monotone");
-        assert_eq!(m.governor_retunes(), 4);
-        assert_eq!(m.governor_clamps(), 2);
-        assert_eq!(m.governor_oscillations(), 1);
-        assert_eq!(m.drain_latency().count(), 2);
-    }
-
-    #[test]
     fn render_mentions_every_counter() {
-        let m = FleetMetrics::new();
-        m.record_batch(100, 1_000);
+        let mut latency = LatencyHistogram::new();
+        latency.record(1_000);
+        let m = FleetMetrics {
+            samples_ingested: 100,
+            batches_ingested: 1,
+            drain_latency: latency,
+            ..FleetMetrics::default()
+        };
         let out = m.render(Duration::from_secs(1));
         for needle in [
             "samples ingested",
             "ingest rate",
             "samples dropped",
             "channel depth high-water",
-            "stream stalls",
-            "stream resumes",
+            "machine restarts",
+            "breaker trips",
             "governor retunes",
             "governor clamps",
             "governor oscillations",
@@ -387,5 +231,6 @@ mod tests {
         ] {
             assert!(out.contains(needle), "missing {needle} in:\n{out}");
         }
+        assert!(out.contains("100 samples/s"), "{out}");
     }
 }

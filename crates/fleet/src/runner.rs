@@ -5,8 +5,8 @@
 //! workload under a K-LEB [`kleb::Monitor`], and streams every drained
 //! batch into its own lock-free SPSC ring ([`crate::ingest`]) through
 //! the controller's [`kleb::SampleSink`] hook. The calling thread is the
-//! collector: it drains the rings into the [`FleetStore`] and updates
-//! [`FleetMetrics`].
+//! collector: it drains the rings into the [`FleetStore`], and once every
+//! machine has joined it sums the run's reports into [`FleetMetrics`].
 //!
 //! Determinism contract: each machine's sample stream is a pure function
 //! of its seed and workload — threads only vary the *interleaving* of
@@ -18,7 +18,6 @@
 //! not the surviving set.
 
 use std::path::PathBuf;
-use std::sync::Arc;
 
 use kleb::{KlebTuning, Monitor, MonitorOutcome, Sample};
 use ksim::{
@@ -27,16 +26,14 @@ use ksim::{
 use ktrace::{stream_file_name, RecoveredStream, StreamMeta};
 use pmu::{EventCounts, HwEvent};
 
-use crate::clock::{Clock, MonotonicClock};
 use crate::governor::{GovernorPolicy, GovernorReport};
 use crate::ingest::{ring_fanin, Backpressure, ChannelStats, Polled, RingCollector};
-use crate::metrics::FleetMetrics;
+use crate::metrics::{FleetMetrics, LatencyHistogram};
 use crate::store::FleetStore;
 use crate::supervisor::{
     panic_message, supervise_machine, HealthReport, MachineFailure, MachineTask, SupervisedRun,
     SupervisorPolicy,
 };
-use crate::watchdog::{StreamWatchdog, WatchdogEvent, WatchdogReport};
 
 // The whole pipeline hinges on machines being buildable and runnable off
 // the spawning thread; keep that a compile-time fact.
@@ -51,6 +48,10 @@ const RING_CAPACITY: usize = 64 * 1024;
 
 /// Per-shard point capacity of the store.
 const SHARD_CAPACITY: usize = 64 * 1024;
+
+/// How long the collector stays parked with every ring empty before it
+/// sweeps again: the doorbell's safety net, never a liveness verdict.
+const POLL: std::time::Duration = std::time::Duration::from_millis(500);
 
 /// Builds a workload inside the machine's thread, from the spec's seed.
 ///
@@ -138,21 +139,14 @@ pub struct FleetConfig {
     /// the default, keeping clean runs bit-identical to a fleet that
     /// never heard of faults.
     pub faults: Option<ksim::FaultPlan>,
-    /// How long a stream may stay silent before the watchdog quarantines
-    /// it. Measured on the collector's [`Clock`].
-    pub stall_timeout: std::time::Duration,
-    /// Time source for collector self-timing (ingest latency, elapsed).
-    /// Defaults to the real [`MonotonicClock`]; inject a
-    /// [`crate::TickClock`] for reproducible timing under `--seed`.
-    pub clock: Arc<dyn Clock>,
     /// When set, every machine tees its live sample stream into a
     /// ktrace segment file under this directory (one file per stream,
     /// named by [`ktrace::stream_file_name`]), sealed with the module's
     /// drop ledger and the controller's recovery stats. `None` records
     /// nothing.
     pub persist_dir: Option<PathBuf>,
-    /// Restart budget, backoff and circuit-breaker tuning for the
-    /// per-machine supervisor. The default allows 3 restarts; see
+    /// Restart budget and circuit-breaker tuning for the per-machine
+    /// supervisor. The default allows 3 restarts; see
     /// [`crate::supervisor`] for the determinism contract (a clean run
     /// never touches any of it).
     pub supervision: SupervisorPolicy,
@@ -181,8 +175,6 @@ impl FleetConfig {
             backpressure: Backpressure::Block,
             machine_config: MachineConfig::i7_920,
             faults: None,
-            stall_timeout: std::time::Duration::from_secs(2),
-            clock: Arc::new(MonotonicClock::new()),
             persist_dir: None,
             supervision: SupervisorPolicy::default(),
             governor: None,
@@ -228,21 +220,9 @@ impl FleetConfigBuilder {
         self
     }
 
-    /// Overrides the collector's time source.
-    pub fn clock(mut self, clock: Arc<dyn Clock>) -> Self {
-        self.config.clock = clock;
-        self
-    }
-
     /// Injects a fault plan into every machine of the fleet.
     pub fn faults(mut self, plan: ksim::FaultPlan) -> Self {
         self.config.faults = Some(plan);
-        self
-    }
-
-    /// Overrides the watchdog's stall timeout.
-    pub fn stall_timeout(mut self, timeout: std::time::Duration) -> Self {
-        self.config.stall_timeout = timeout;
         self
     }
 
@@ -253,8 +233,8 @@ impl FleetConfigBuilder {
         self
     }
 
-    /// Overrides the supervision policy (restart budget, backoff,
-    /// circuit breaker).
+    /// Overrides the supervision policy (restart budget, circuit
+    /// breaker).
     pub fn supervise(mut self, policy: SupervisorPolicy) -> Self {
         self.config.supervision = policy;
         self
@@ -352,18 +332,16 @@ pub struct FleetOutcome {
     /// Fan-in counters (per-stream sent/dropped/delivered, depth HWM in
     /// samples).
     pub channel: ChannelStats,
-    /// The collector's self-metrics.
-    pub metrics: Arc<FleetMetrics>,
-    /// What the stream watchdog saw: per-machine stall/resume episodes
-    /// and any machine still quarantined at the end.
-    pub watchdog: WatchdogReport,
+    /// The pipeline's self-metrics, summed from the reports above once
+    /// every machine has joined.
+    pub metrics: FleetMetrics,
     /// Per-machine rate-governance rows, parallel to `machines`:
     /// configured and allocated base periods plus the live governor's
     /// counters (all idle when the fleet ran ungoverned).
     pub governors: Vec<GovernorReport>,
-    /// Run time on the configured [`Clock`], from before the first
-    /// machine thread is spawned to after the last one is joined, for
-    /// rate reporting.
+    /// Host wall time from before the first machine thread is spawned
+    /// to after the last one is joined, for rate reporting. Never
+    /// digested.
     pub elapsed: std::time::Duration,
 }
 
@@ -443,9 +421,9 @@ impl FleetOutcome {
     /// A byte digest of everything a run produced that is *deterministic
     /// by contract*: per-machine sample streams (wire encoding), module
     /// status, recovery stats, programmed events, the store's ingested
-    /// points, per-stream fan-in accounting, and the watchdog's
-    /// episode counters. Wall-clock-dependent values (elapsed, ingest
-    /// latency, ring depth, block waits) are excluded.
+    /// points and per-stream fan-in accounting. Wall-clock-dependent
+    /// values (elapsed, drain latency, ring depth, block waits) are
+    /// excluded.
     ///
     /// Replaying a recorded run must reproduce this byte-for-byte —
     /// that equality is the regression-testing contract.
@@ -538,11 +516,10 @@ impl FleetOutcome {
         u64s(&mut out, &self.channel.sent);
         u64s(&mut out, &self.channel.dropped);
         u64s(&mut out, &self.channel.delivered);
-        u64s(&mut out, &self.watchdog.stalls);
-        u64s(&mut out, &self.watchdog.resumes);
-        for &q in &self.watchdog.quarantined_at_end {
-            u64s(&mut out, &[q as u64]);
-        }
+        // Two zero words per machine where a host-clock stall watchdog
+        // once wrote its stall and resume counts: they keep the byte
+        // layout that recorded digest references pin.
+        u64s(&mut out, &vec![0; 2 * self.machines.len()]);
         out
     }
 }
@@ -597,7 +574,8 @@ impl FleetRunner {
         };
         // `elapsed` starts before the first spawn: early machines can
         // finish while later ones are still being spawned.
-        let started_ns = self.config.clock.now_ns();
+        // klint: allow(D1): host wall time for `elapsed`, never digested
+        let started = std::time::Instant::now();
         let (senders, receiver) = ring_fanin(n, RING_CAPACITY, self.config.backpressure);
         let mut handles = Vec::with_capacity(n);
         // Sender i goes to spec i: stream indices equal spec order.
@@ -625,7 +603,6 @@ impl FleetRunner {
                 faults: self.config.faults,
                 workload: spec.workload,
                 policy: self.config.supervision,
-                clock: Arc::clone(&self.config.clock),
                 tx,
                 trace_path,
                 meta: StreamMeta {
@@ -639,17 +616,16 @@ impl FleetRunner {
             handles.push((label, seed, handle));
         }
 
-        self.collect_and_join(n, receiver, handles, allocated, started_ns)
+        self.collect_and_join(n, receiver, handles, allocated, started)
     }
 
     /// Replays recorded streams through the collector pipeline — a
     /// drop-in machine source. Each stream gets the thread a live
     /// machine would have had and sends its recorded drain batches, in
     /// order, through the same ring fan-in; store ingest, fan-in
-    /// accounting, the watchdog and anomaly scans all see exactly what
-    /// the live run produced. Under [`Backpressure::Block`] the
-    /// resulting [`FleetOutcome::digest`] is byte-identical to the
-    /// recorded run's.
+    /// accounting and anomaly scans all see exactly what the live run
+    /// produced. Under [`Backpressure::Block`] the resulting
+    /// [`FleetOutcome::digest`] is byte-identical to the recorded run's.
     ///
     /// Stream order is machine order (a [`ktrace::TraceReplayer`]
     /// already restores it). The synthesized machine reports carry the
@@ -671,7 +647,8 @@ impl FleetRunner {
         // base period, so replayed governance rows match the live run's.
         let allocated: Vec<u64> = streams.iter().map(|s| s.meta.period_ns).collect();
         // As in `run`, `elapsed` starts before the first spawn.
-        let started_ns = self.config.clock.now_ns();
+        // klint: allow(D1): host wall time for `elapsed`, never digested
+        let started = std::time::Instant::now();
         let (senders, receiver) = ring_fanin(n, RING_CAPACITY, self.config.backpressure);
         let mut handles = Vec::with_capacity(n);
         for (stream, mut tx) in streams.into_iter().zip(senders) {
@@ -696,70 +673,41 @@ impl FleetRunner {
             handles.push((label, seed, handle));
         }
 
-        self.collect_and_join(n, receiver, handles, allocated, started_ns)
+        self.collect_and_join(n, receiver, handles, allocated, started)
     }
 
     /// The shared back half of [`FleetRunner::run`] and
     /// [`FleetRunner::replay`]: drive the collector loop, join the
     /// producer threads, assemble the outcome. `allocated` holds each
     /// machine's allocator-assigned base period, in spec order;
-    /// `started_ns` is the clock reading taken before the first spawn.
+    /// `started` is the host instant taken before the first spawn.
     fn collect_and_join(
         &self,
         n: usize,
         mut receiver: RingCollector,
         handles: Vec<(String, u64, std::thread::JoinHandle<SupervisedRun>)>,
         allocated: Vec<u64>,
-        started_ns: u64,
+        started: std::time::Instant,
     ) -> Result<FleetOutcome, FleetError> {
-        let metrics = Arc::new(FleetMetrics::new());
         let mut store = FleetStore::new(n, self.config.events.clone(), SHARD_CAPACITY);
-        let clock = &self.config.clock;
+        let mut drain_latency = LatencyHistogram::new();
 
         // Collector loop: drain until every sender (inside the machine
-        // workloads) has dropped and every ring is empty, polling often
-        // enough that the watchdog notices silence well inside the stall
-        // timeout.
-        let mut watchdog = StreamWatchdog::new(
-            n,
-            self.config.stall_timeout.as_nanos().max(1) as u64,
-            started_ns,
-        );
-        let poll = (self.config.stall_timeout / 4).max(std::time::Duration::from_millis(1));
+        // workloads) has dropped and every ring is empty. A quiet machine
+        // is not an event: its own controller detects stalled timers in
+        // simulated time and kicks them.
         // One scratch buffer for the whole run: the collector fills it in
         // place, so the steady state allocates nothing per batch.
         let mut scratch: Vec<Sample> = Vec::new();
         loop {
-            match receiver.poll(poll, &mut scratch) {
+            match receiver.poll(POLL, &mut scratch) {
                 Polled::Batch { machine } => {
-                    let t0_ns = clock.now_ns();
-                    let (_, rejected) = store.ingest(machine, &scratch);
-                    let t1_ns = clock.now_ns();
-                    metrics.record_batch(scratch.len() as u64, t1_ns.saturating_sub(t0_ns));
-                    if rejected > 0 {
-                        metrics.add_rejected(rejected);
-                    }
-                    if let Some(WatchdogEvent::Resumed { .. }) = watchdog.observe(machine, t1_ns) {
-                        metrics.add_resume();
-                    }
-                    if scratch.iter().any(|s| s.final_sample) {
-                        // The stream's last record is drained: it may go
-                        // silent forever without that being a stall.
-                        watchdog.mark_done(machine);
-                    }
-                    for event in watchdog.scan(t1_ns) {
-                        if let WatchdogEvent::Stalled { .. } = event {
-                            metrics.add_stall();
-                        }
-                    }
+                    // klint: allow(D1): drain latency is host time, rendered and never digested
+                    let t0 = std::time::Instant::now();
+                    store.ingest(machine, &scratch);
+                    drain_latency.record(t0.elapsed().as_nanos() as u64);
                 }
-                Polled::Timeout => {
-                    for event in watchdog.scan(clock.now_ns()) {
-                        if let WatchdogEvent::Stalled { .. } = event {
-                            metrics.add_stall();
-                        }
-                    }
-                }
+                Polled::Timeout => {}
                 Polled::Disconnected => break,
             }
         }
@@ -793,51 +741,35 @@ impl FleetRunner {
                 }
             }
         }
-        let elapsed = std::time::Duration::from_nanos(clock.now_ns().saturating_sub(started_ns));
+        let elapsed = started.elapsed();
         if health.iter().all(|h| h.failed) {
             return Err(FleetError::Machines {
                 failures: health.into_iter().flat_map(|h| h.failures).collect(),
             });
         }
 
-        // Supervision counters feed the pipeline's self-metrics.
-        for h in &health {
-            metrics.add_restarts(u64::from(h.restarts));
-            metrics.add_breaker_trips(u64::from(h.breaker_trips));
-            metrics.add_machine_failures(u64::from(h.failure_count));
-            if h.failed {
-                metrics.add_machine_lost();
-            }
-        }
-
-        // Governance rows and counters, one per machine (idle rows when
-        // the fleet ran ungoverned).
+        // Governance rows, one per machine (idle rows when the fleet ran
+        // ungoverned).
         let base_period_ns = self.config.period.as_nanos();
         let mut governors = Vec::with_capacity(n);
         for (report, &allocated_period_ns) in machines.iter().zip(&allocated) {
-            let stats = report.outcome.governor;
-            metrics.add_retunes(u64::from(stats.retunes));
-            metrics.add_retune_clamps(u64::from(stats.clamps));
-            metrics.add_retune_oscillations(u64::from(stats.oscillations));
             governors.push(GovernorReport {
                 label: report.label.clone(),
                 base_period_ns,
                 allocated_period_ns,
-                stats,
+                stats: report.outcome.governor,
             });
         }
 
         let channel = receiver.stats();
-        metrics.add_dropped(channel.total_dropped());
-        metrics.observe_depth_hwm(channel.depth_high_water as u64);
-
+        let metrics =
+            FleetMetrics::from_reports(drain_latency, &channel, store.stats(), &health, &governors);
         Ok(FleetOutcome {
             store,
             machines,
             health,
             channel,
             metrics,
-            watchdog: watchdog.report(),
             governors,
             elapsed,
         })
@@ -915,6 +847,8 @@ pub(crate) fn outline_report(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
     use crate::store::Lane;
     use crate::store::Window;
     use kleb::SampleSink;
@@ -961,9 +895,9 @@ mod tests {
             assert_eq!(stored, direct, "machine {m}");
             assert!(!stored.is_empty(), "machine {m} produced samples");
         }
-        assert!(outcome.metrics.samples_ingested() > 0);
+        assert!(outcome.metrics.samples_ingested > 0);
         assert_eq!(
-            outcome.metrics.samples_ingested(),
+            outcome.metrics.samples_ingested,
             outcome.channel.total_sent()
         );
         assert!(outcome.store.fleet_window_sum(Lane::Pmc(1), Window::all()) > 0);
@@ -1003,41 +937,14 @@ mod tests {
     }
 
     #[test]
-    fn injected_tick_clock_makes_timing_deterministic() {
-        let run = || {
-            let cfg = quick_config()
-                .clock(Arc::new(crate::clock::TickClock::new(100)))
-                .build();
-            FleetRunner::new(cfg)
-                .run((0..2).map(spec).collect())
-                .unwrap()
-        };
-        let (a, b) = (run(), run());
-        // The collector is the only clock reader, so elapsed is a pure
-        // function of the (deterministic) batch count — identical runs
-        // report identical timing, which real Instant::now never did.
-        assert_eq!(a.elapsed, b.elapsed);
-        assert!(a.elapsed.as_nanos() > 0);
-    }
-
-    #[test]
     fn metrics_table_renders_after_a_run() {
         let outcome = FleetRunner::new(quick_config().build())
             .run(vec![spec(0)])
             .unwrap();
         let table = outcome.metrics_table();
         assert!(table.contains("samples ingested"));
-        assert!(table.contains("stream stalls"));
-    }
-
-    #[test]
-    fn healthy_fleet_reports_no_stalls() {
-        let outcome = FleetRunner::new(quick_config().build())
-            .run((0..3).map(spec).collect())
-            .unwrap();
-        assert_eq!(outcome.watchdog.total_stalls(), 0);
-        assert!(outcome.watchdog.all_recovered());
-        assert_eq!(outcome.metrics.stream_stalls(), 0);
+        assert!(table.contains("machine restarts"));
+        assert!(!table.contains("stream stalls"));
     }
 
     #[test]
@@ -1146,42 +1053,31 @@ mod tests {
             .any(|m| m.outcome.status.samples_dropped > 0));
     }
 
-    /// A clock that moves only when told to.
-    #[derive(Debug, Default)]
-    struct ManualClock(std::sync::atomic::AtomicU64);
-
-    impl Clock for ManualClock {
-        fn now_ns(&self) -> u64 {
-            self.0.load(std::sync::atomic::Ordering::SeqCst)
-        }
-    }
-
     #[test]
     fn elapsed_spans_every_machine_from_spawn_to_join() {
         // Enough machines that early threads build their workloads while
         // later ones are still being spawned.
-        const MACHINES: u64 = 16;
-        const STEP_NS: u64 = 1_000_000;
-        let clock = Arc::new(ManualClock::default());
+        const MACHINES: u32 = 16;
+        const STEP: std::time::Duration = std::time::Duration::from_millis(5);
+        // Each machine's set-up holds the lock for one step, so the
+        // set-ups run one after another, however the threads interleave:
+        // every step lies between the first spawn and the last join.
+        let setup = Arc::new(std::sync::Mutex::new(()));
         let specs = (0..MACHINES)
             .map(|i| {
-                let clock = Arc::clone(&clock);
-                MachineSpec::new(format!("m{i}"), 40 + i, move |_seed| {
-                    // Each machine's set-up takes one millisecond of the
-                    // run's time, however early its thread gets to run.
-                    clock
-                        .0
-                        .fetch_add(STEP_NS, std::sync::atomic::Ordering::SeqCst);
+                let setup = Arc::clone(&setup);
+                MachineSpec::new(format!("m{i}"), 40 + u64::from(i), move |_seed| {
+                    let _turn = setup.lock().unwrap();
+                    std::thread::sleep(STEP);
                     Box::new(FixedBlocks::new(500, WorkBlock::compute(1_000, 2_670))) as _
                 })
             })
             .collect();
-        let outcome = FleetRunner::new(quick_config().clock(clock).build())
-            .run(specs)
-            .unwrap();
-        assert_eq!(
-            outcome.elapsed,
-            std::time::Duration::from_nanos(MACHINES * STEP_NS)
+        let outcome = FleetRunner::new(quick_config().build()).run(specs).unwrap();
+        assert!(
+            outcome.elapsed >= STEP * MACHINES,
+            "elapsed {:?} misses some of the {MACHINES} serial set-up steps",
+            outcome.elapsed
         );
     }
 
@@ -1242,34 +1138,5 @@ mod tests {
             assert_eq!(ledger.recovery, report.outcome.recovery);
         }
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn hair_trigger_watchdog_stalls_and_recovers_losslessly() {
-        // A 1ns stall timeout quarantines every stream at the first scan
-        // after any gap — exercising the stall/resume path without needing
-        // a genuinely wedged machine. The run must still be lossless.
-        let outcome = FleetRunner::new(
-            quick_config()
-                .stall_timeout(std::time::Duration::from_nanos(1))
-                .build(),
-        )
-        .run((0..2).map(spec).collect())
-        .unwrap();
-        assert!(outcome.watchdog.total_stalls() >= 1);
-        assert!(
-            outcome.watchdog.all_recovered(),
-            "every machine finished, none left quarantined: {:?}",
-            outcome.watchdog
-        );
-        assert_eq!(outcome.channel.total_dropped(), 0, "Block stays lossless");
-        assert_eq!(
-            outcome.metrics.samples_ingested(),
-            outcome.channel.total_sent()
-        );
-        assert_eq!(
-            outcome.metrics.stream_stalls(),
-            outcome.watchdog.total_stalls()
-        );
     }
 }

@@ -10,11 +10,9 @@
 //!   [`std::panic::catch_unwind`]; the panic payload is downcast back to
 //!   its message ([`panic_message`]) and recorded as a typed
 //!   [`MachineFailure`] instead of being dropped on the floor.
-//! - **Restart** — a panicked machine is rebuilt and re-run under a
-//!   bounded budget ([`SupervisorPolicy::max_restarts`]) with seeded
-//!   exponential backoff + jitter ([`backoff_delay_ns`] — a pure
-//!   function of `(policy, seed, attempt)`, no wall-clock reads, no
-//!   global RNG). The retry's fault RNG is salted by attempt number
+//! - **Restart** — a panicked machine is rebuilt and re-run at once,
+//!   under a bounded budget ([`SupervisorPolicy::max_restarts`]). The
+//!   retry's fault RNG is salted by attempt number
 //!   (`ksim::FaultState::for_attempt`) so it does not deterministically
 //!   hit the identical crash point forever, and the monitor resumes
 //!   with [`kleb::Monitor::resume_from`] so sequence numbers and
@@ -22,9 +20,9 @@
 //!   resumed sample carries the `gap` flag because whatever the dead
 //!   incarnation had buffered is gone, and the ledger says so.
 //! - **Circuit breaking** — a per-machine [`CircuitBreaker`]
-//!   (Closed → Open → HalfOpen) stops hot restart loops. Like
-//!   [`crate::StreamWatchdog`], it is a pure state machine over injected
-//!   `now_ns` values and never reads a clock itself.
+//!   (Closed → Open → HalfOpen) records hot restart loops. It is a pure
+//!   state machine over the failure sequence: an open breaker admits the
+//!   next attempt as its half-open probe.
 //! - **Partial outcomes** — every machine reports a [`HealthReport`];
 //!   the fleet run succeeds with its surviving streams and fails only
 //!   when *no* machine survived. Health is packed into the persisted
@@ -32,16 +30,12 @@
 //!   reproduces the extended [`crate::FleetOutcome::digest`]
 //!   byte-for-byte.
 //!
-//! Determinism contract: the happy path (attempt 0 succeeds) makes
-//! **zero** clock reads and zero breaker decisions — a clean supervised
-//! run is bit-identical to one that never heard of supervision, and the
-//! collector remains the only clock reader
-//! (`injected_tick_clock_makes_timing_deterministic` depends on this).
-//! The breaker/backoff machinery only wakes up after a failure, and even
-//! then the *recorded* health (restart count, failure count, trips,
-//! final breaker state) is a pure function of the failure sequence, not
-//! of when retries happened — which is why the digest stays stable under
-//! the real monotonic clock.
+//! Determinism contract: supervision reads no clock and never sleeps.
+//! The happy path (attempt 0 succeeds) makes zero breaker decisions — a
+//! clean supervised run is bit-identical to one that never heard of
+//! supervision — and after a failure the *recorded* health (restart
+//! count, failure count, trips, final breaker state) is a pure function
+//! of the failure sequence, which is why the digest is too.
 
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -49,7 +43,6 @@ use kleb::{Monitor, MonitorOutcome, Sample, SampleSink};
 use ksim::{Machine, MachineConfig};
 use ktrace::{SharedWriter, StreamHealth, StreamLedger, StreamMeta, TraceWriter};
 
-use crate::clock::Clock;
 use crate::ingest::RingSender;
 use crate::runner::{outline_report, MachineReport, WorkloadFactory};
 
@@ -60,26 +53,15 @@ pub struct SupervisorPolicy {
     /// Zero disables restarting: the first panic is terminal (but still
     /// contained and typed).
     pub max_restarts: u32,
-    /// Backoff before restart attempt 1, nanoseconds. Doubles per
-    /// attempt up to [`SupervisorPolicy::backoff_cap_ns`].
-    pub backoff_base_ns: u64,
-    /// Upper bound on any single backoff delay, jitter included.
-    pub backoff_cap_ns: u64,
     /// Consecutive failures that trip the breaker open.
     pub breaker_threshold: u32,
-    /// How long a tripped breaker stays open before admitting one
-    /// half-open probe, nanoseconds.
-    pub breaker_cooldown_ns: u64,
 }
 
 impl Default for SupervisorPolicy {
     fn default() -> Self {
         Self {
             max_restarts: 3,
-            backoff_base_ns: 1_000_000, // 1 ms
-            backoff_cap_ns: 20_000_000, // 20 ms
             breaker_threshold: 2,
-            breaker_cooldown_ns: 20_000_000, // 20 ms
         }
     }
 }
@@ -99,27 +81,9 @@ impl SupervisorPolicy {
         self
     }
 
-    /// Overrides the backoff base delay (doubles per attempt).
-    pub fn backoff_base_ns(mut self, ns: u64) -> Self {
-        self.backoff_base_ns = ns;
-        self
-    }
-
-    /// Overrides the backoff cap.
-    pub fn backoff_cap_ns(mut self, ns: u64) -> Self {
-        self.backoff_cap_ns = ns;
-        self
-    }
-
     /// Overrides the breaker's consecutive-failure threshold.
     pub fn breaker_threshold(mut self, failures: u32) -> Self {
         self.breaker_threshold = failures.max(1);
-        self
-    }
-
-    /// Overrides the breaker's open-state cooldown.
-    pub fn breaker_cooldown_ns(mut self, ns: u64) -> Self {
-        self.breaker_cooldown_ns = ns;
         self
     }
 }
@@ -130,10 +94,10 @@ pub enum BreakerState {
     /// Requests flow; failures are being counted.
     #[default]
     Closed,
-    /// Tripped: requests are refused until the cooldown elapses.
+    /// Tripped: the next request is admitted only as a probe.
     Open,
-    /// Cooldown elapsed: exactly one probe is in flight; its result
-    /// closes or re-trips the breaker.
+    /// Exactly one probe is in flight; its result closes or re-trips the
+    /// breaker.
     HalfOpen,
 }
 
@@ -159,50 +123,41 @@ impl BreakerState {
 
 /// Per-machine circuit breaker: Closed → Open on
 /// `threshold` consecutive failures (or any half-open probe failure),
-/// Open → HalfOpen after the cooldown, HalfOpen → Closed on a probe
-/// success.
+/// Open → HalfOpen when the next request is admitted as its probe,
+/// HalfOpen → Closed on a probe success.
 ///
-/// Pure over injected `now_ns` values, in the [`crate::StreamWatchdog`]
-/// mold: it never reads a clock, so every transition is unit-testable
-/// with synthetic timestamps (klint rule D1).
+/// A pure state machine over the sequence of requests and their
+/// results: it reads no clock, so its trips and final state depend on
+/// nothing else.
 #[derive(Debug, Clone)]
 pub struct CircuitBreaker {
     state: BreakerState,
     threshold: u32,
-    cooldown_ns: u64,
     consecutive_failures: u32,
-    opened_at_ns: u64,
     trips: u8,
 }
 
 impl CircuitBreaker {
     /// A closed breaker tripping after `threshold` consecutive failures
-    /// (min 1), cooling down for `cooldown_ns` once open.
-    pub fn new(threshold: u32, cooldown_ns: u64) -> Self {
+    /// (min 1).
+    pub fn new(threshold: u32) -> Self {
         Self {
             state: BreakerState::Closed,
             threshold: threshold.max(1),
-            cooldown_ns,
             consecutive_failures: 0,
-            opened_at_ns: 0,
             trips: 0,
         }
     }
 
-    /// May a request proceed at `now_ns`? Closed always admits; Open
-    /// admits nothing until the cooldown elapses, then transitions to
-    /// HalfOpen and admits the single probe; HalfOpen refuses further
-    /// requests while the probe is outstanding.
-    pub fn allow(&mut self, now_ns: u64) -> bool {
+    /// May a request proceed? Closed always admits; Open admits the
+    /// request as its single probe and turns HalfOpen; HalfOpen refuses
+    /// further requests while the probe is outstanding.
+    pub fn allow(&mut self) -> bool {
         match self.state {
             BreakerState::Closed => true,
             BreakerState::Open => {
-                if now_ns.saturating_sub(self.opened_at_ns) >= self.cooldown_ns {
-                    self.state = BreakerState::HalfOpen;
-                    true
-                } else {
-                    false
-                }
+                self.state = BreakerState::HalfOpen;
+                true
             }
             BreakerState::HalfOpen => false,
         }
@@ -215,10 +170,10 @@ impl CircuitBreaker {
         self.state = BreakerState::Closed;
     }
 
-    /// The admitted request failed at `now_ns`. A half-open probe
-    /// failure re-trips immediately; a closed breaker trips once the
-    /// streak reaches the threshold.
-    pub fn record_failure(&mut self, now_ns: u64) {
+    /// The admitted request failed. A half-open probe failure re-trips
+    /// immediately; a closed breaker trips once the streak reaches the
+    /// threshold.
+    pub fn record_failure(&mut self) {
         self.consecutive_failures += 1;
         let trip = match self.state {
             BreakerState::HalfOpen => true,
@@ -227,7 +182,6 @@ impl CircuitBreaker {
         };
         if trip {
             self.state = BreakerState::Open;
-            self.opened_at_ns = now_ns;
             self.trips = self.trips.saturating_add(1);
         }
     }
@@ -387,35 +341,6 @@ impl HealthReport {
     }
 }
 
-/// Deterministic backoff before restart `attempt` (≥ 1): exponential in
-/// the attempt number, capped, with splitmix64 jitter derived from
-/// `(seed, attempt)` — so a thundering herd of machines sharing a fault
-/// de-synchronises without any global RNG or wall-clock input.
-pub fn backoff_delay_ns(policy: &SupervisorPolicy, seed: u64, attempt: u32) -> u64 {
-    debug_assert!(attempt >= 1, "attempt 0 is the original run");
-    let doublings = attempt.saturating_sub(1).min(20);
-    let base = policy
-        .backoff_base_ns
-        .saturating_mul(1u64 << doublings)
-        .min(policy.backoff_cap_ns);
-    let jitter_space = base / 2;
-    let jitter = if jitter_space > 0 {
-        splitmix64(seed ^ u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15)) % jitter_space
-    } else {
-        0
-    };
-    base.saturating_add(jitter).min(policy.backoff_cap_ns)
-}
-
-/// SplitMix64 — the standard 64-bit finalizer; a pure hash, not a
-/// stateful RNG, so klint's D1 has nothing to object to.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Everything the supervisor shares across attempts of one machine,
 /// *outside* the `catch_unwind` boundary: the stream's sending end (a
 /// panic must not drop it — end-of-stream is a supervisor decision, not
@@ -496,17 +421,13 @@ pub(crate) struct MachineTask {
     pub faults: Option<ksim::FaultPlan>,
     pub workload: WorkloadFactory,
     pub policy: SupervisorPolicy,
-    pub clock: Arc<dyn Clock>,
     pub tx: RingSender,
     pub trace_path: Option<std::path::PathBuf>,
     pub meta: StreamMeta,
 }
 
-/// How long the breaker-wait loop sleeps between clock polls.
-const BREAKER_POLL: std::time::Duration = std::time::Duration::from_micros(500);
-
-/// Runs one machine to a verdict: retry panics under the policy's
-/// budget, backoff and breaker; stop on success, a non-retryable error,
+/// Runs one machine to a verdict: retry panics at once under the
+/// policy's budget and breaker; stop on success, a non-retryable error,
 /// or budget exhaustion. Seals the trace (durably, with the health
 /// ledger) either way. See the module docs for the determinism
 /// contract.
@@ -519,7 +440,6 @@ pub(crate) fn supervise_machine(task: MachineTask) -> SupervisedRun {
         faults,
         workload,
         policy,
-        clock,
         tx,
         trace_path,
         meta,
@@ -555,20 +475,16 @@ pub(crate) fn supervise_machine(task: MachineTask) -> SupervisedRun {
         governed_period_ns: None,
     }));
 
-    let mut breaker = CircuitBreaker::new(policy.breaker_threshold, policy.breaker_cooldown_ns);
+    let mut breaker = CircuitBreaker::new(policy.breaker_threshold);
     let mut restarts = 0u32;
     let mut attempt = 0u32;
     let mut outcome: Option<MonitorOutcome> = None;
     loop {
         if attempt > 0 {
-            // Only the retry path ever touches time: backoff first, then
-            // wait out the breaker. A clean run reaches neither.
-            std::thread::sleep(std::time::Duration::from_nanos(backoff_delay_ns(
-                &policy, seed, attempt,
-            )));
-            while !breaker.allow(clock.now_ns()) {
-                std::thread::sleep(BREAKER_POLL);
-            }
+            // An open breaker admits this restart as its half-open probe.
+            // Attempts run one at a time, so no probe is outstanding.
+            let admitted = breaker.allow();
+            debug_assert!(admitted, "the previous attempt has finished");
         }
         let mut config = machine_config(seed);
         if let Some(plan) = faults {
@@ -608,7 +524,7 @@ pub(crate) fn supervise_machine(task: MachineTask) -> SupervisedRun {
                     kind: FailureKind::Monitor,
                     message: e.to_string(),
                 });
-                breaker.record_failure(clock.now_ns());
+                breaker.record_failure();
                 break;
             }
             Err(payload) => {
@@ -618,7 +534,7 @@ pub(crate) fn supervise_machine(task: MachineTask) -> SupervisedRun {
                     kind: FailureKind::Panic,
                     message: panic_message(payload),
                 });
-                breaker.record_failure(clock.now_ns());
+                breaker.record_failure();
                 if restarts >= policy.max_restarts {
                     break;
                 }
@@ -693,54 +609,48 @@ pub(crate) fn supervise_machine(task: MachineTask) -> SupervisedRun {
 mod tests {
     use super::*;
 
-    const COOLDOWN: u64 = 1_000;
-
     #[test]
     fn breaker_trips_after_threshold_and_recovers_via_half_open() {
-        let mut b = CircuitBreaker::new(2, COOLDOWN);
-        assert!(b.allow(0));
-        b.record_failure(10);
+        let mut b = CircuitBreaker::new(2);
+        assert!(b.allow());
+        b.record_failure();
         assert_eq!(b.state(), BreakerState::Closed, "one failure: still closed");
-        assert!(b.allow(20));
-        b.record_failure(30);
+        assert!(b.allow());
+        b.record_failure();
         assert_eq!(b.state(), BreakerState::Open, "threshold reached");
         assert_eq!(b.trips(), 1);
-        // Open refuses until the cooldown elapses...
-        assert!(!b.allow(31));
-        assert!(!b.allow(30 + COOLDOWN - 1));
-        // ...then admits exactly one probe.
-        assert!(b.allow(30 + COOLDOWN));
+        // Open admits the next request as its one probe.
+        assert!(b.allow());
         assert_eq!(b.state(), BreakerState::HalfOpen);
-        assert!(!b.allow(30 + COOLDOWN + 1), "probe already in flight");
+        assert!(!b.allow(), "probe already in flight");
         b.record_success();
         assert_eq!(b.state(), BreakerState::Closed);
-        assert!(b.allow(9_999));
+        assert!(b.allow());
     }
 
     #[test]
     fn half_open_probe_failure_re_trips_immediately() {
-        let mut b = CircuitBreaker::new(3, COOLDOWN);
-        for t in 0..3 {
-            b.record_failure(t);
+        let mut b = CircuitBreaker::new(3);
+        for _ in 0..3 {
+            b.record_failure();
         }
         assert_eq!(b.state(), BreakerState::Open);
-        assert!(b.allow(COOLDOWN + 2));
-        b.record_failure(COOLDOWN + 3);
+        assert!(b.allow());
+        b.record_failure();
         assert_eq!(b.state(), BreakerState::Open, "probe failure re-trips");
         assert_eq!(b.trips(), 2);
-        // The new cooldown is measured from the re-trip.
-        assert!(!b.allow(COOLDOWN + 4));
-        assert!(b.allow(2 * COOLDOWN + 3));
+        assert!(b.allow(), "the next request is the next probe");
+        assert_eq!(b.state(), BreakerState::HalfOpen);
     }
 
     #[test]
     fn success_resets_the_failure_streak() {
-        let mut b = CircuitBreaker::new(2, COOLDOWN);
-        b.record_failure(0);
+        let mut b = CircuitBreaker::new(2);
+        b.record_failure();
         b.record_success();
-        b.record_failure(10);
+        b.record_failure();
         assert_eq!(b.state(), BreakerState::Closed, "streak was reset");
-        b.record_failure(20);
+        b.record_failure();
         assert_eq!(b.state(), BreakerState::Open);
     }
 
@@ -754,26 +664,6 @@ mod tests {
             assert_eq!(BreakerState::from_tag(state.tag()), state);
         }
         assert_eq!(BreakerState::from_tag(99), BreakerState::Closed);
-    }
-
-    #[test]
-    fn backoff_is_deterministic_exponential_and_capped() {
-        let policy = SupervisorPolicy::default()
-            .backoff_base_ns(1_000)
-            .backoff_cap_ns(10_000);
-        let d1 = backoff_delay_ns(&policy, 7, 1);
-        let d2 = backoff_delay_ns(&policy, 7, 2);
-        assert_eq!(d1, backoff_delay_ns(&policy, 7, 1), "pure function");
-        assert!((1_000..1_500).contains(&d1), "base + jitter < 1.5x: {d1}");
-        assert!((2_000..3_000).contains(&d2), "doubled: {d2}");
-        for attempt in 1..40 {
-            assert!(backoff_delay_ns(&policy, 7, attempt) <= 10_000, "capped");
-        }
-        assert_ne!(
-            backoff_delay_ns(&policy, 7, 1),
-            backoff_delay_ns(&policy, 8, 1),
-            "different seeds jitter apart"
-        );
     }
 
     #[test]

@@ -1,33 +1,38 @@
 //! The fleet determinism contract: identical config + seeds produce
 //! bit-identical per-machine stores under the lossless Block policy,
-//! regardless of how the OS interleaves the machine threads.
+//! regardless of how the OS interleaves the machine threads or how fast
+//! the host runs them.
 
-use fleet::{FleetConfig, FleetOutcome, FleetRunner, MachineSpec};
+use fleet::{FleetConfig, FleetConfigBuilder, FleetOutcome, FleetRunner, MachineSpec};
 use kleb::KlebTuning;
-use ksim::{Duration, FixedBlocks, MachineConfig, WorkBlock};
+use ksim::{Duration, FixedBlocks, MachineConfig, WorkBlock, Workload};
+use ktrace::TraceReplayer;
 use pmu::{EventCounts, HwEvent};
 
-fn config() -> FleetConfig {
+fn builder() -> FleetConfigBuilder {
     FleetConfig::builder(
         &[HwEvent::LlcReference, HwEvent::LlcMiss],
         Duration::from_micros(500),
     )
     .tuning(KlebTuning::microarchitectural())
     .machine(MachineConfig::test_tiny)
-    .build()
+}
+
+fn config() -> FleetConfig {
+    builder().build()
+}
+
+fn workload(seed: u64) -> Box<dyn Workload> {
+    Box::new(FixedBlocks::new(
+        1_500 + (seed % 5) * 200,
+        WorkBlock::compute(1_000, 2_670)
+            .with_events(EventCounts::new().with(HwEvent::LlcMiss, (seed % 7) + 1)),
+    ))
 }
 
 fn specs() -> Vec<MachineSpec> {
     (0..6u64)
-        .map(|i| {
-            MachineSpec::new(format!("node-{i}"), 90 + i, move |seed| {
-                Box::new(FixedBlocks::new(
-                    1_500 + (seed % 5) * 200,
-                    WorkBlock::compute(1_000, 2_670)
-                        .with_events(EventCounts::new().with(HwEvent::LlcMiss, (seed % 7) + 1)),
-                ))
-            })
-        })
+        .map(|i| MachineSpec::new(format!("node-{i}"), 90 + i, workload))
         .collect()
 }
 
@@ -80,4 +85,36 @@ fn different_seeds_actually_diverge() {
         first.store.machine_snapshot(1),
         second.store.machine_snapshot(1)
     );
+}
+
+#[test]
+fn a_slow_host_thread_does_not_change_the_digest() {
+    let dir = std::env::temp_dir().join(format!("fleet-host-delay-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // Machine 0's thread spends 3 s of host time before its workload
+    // starts: longer than any host-side timeout a collector could keep.
+    // Its simulated run, and everything recorded about it, is the same.
+    let mut delayed = specs();
+    delayed[0] = MachineSpec::new("node-0", 90, |seed| {
+        std::thread::sleep(std::time::Duration::from_secs(3));
+        workload(seed)
+    });
+    let recorded = FleetRunner::new(builder().persist(&dir).build())
+        .run(delayed)
+        .expect("delayed fleet run");
+    let replayer = TraceReplayer::load_dir(&dir).expect("recording loads");
+    let replayed = FleetRunner::new(config())
+        .replay(replayer.streams)
+        .expect("replay");
+    assert_eq!(
+        recorded.digest(),
+        run().digest(),
+        "a slow host thread changed the digest"
+    );
+    assert_eq!(
+        recorded.digest(),
+        replayed.digest(),
+        "the replay of a slow run does not reproduce its digest"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

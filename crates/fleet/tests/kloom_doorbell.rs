@@ -5,7 +5,7 @@
 //! Build with `RUSTFLAGS="--cfg kloom"` (ci.sh's kloom gate does). The
 //! key modeling trick is in `kloom::sync::Condvar`: `wait_timeout`
 //! **never times out**, so "the doorbell never loses a wakeup" stops
-//! being a latency property the watchdog papers over and becomes a
+//! being a latency property the poll timeout papers over and becomes a
 //! checkable safety property — any lost wakeup is reported as a kloom
 //! deadlock with the failing interleaving attached.
 #![cfg(kloom)]

@@ -1,7 +1,7 @@
 //! kloom model of the supervisor's restart handshake over the ring
-//! fan-in: a machine's stream goes silent (the attempt panicked, the
-//! supervisor is backing off / waiting out the breaker), then resumes
-//! when the next incarnation — or the breaker's half-open probe — starts
+//! fan-in: a machine's stream goes silent (the attempt panicked and the
+//! supervisor is rebuilding the machine), then resumes when the next
+//! incarnation — the breaker's half-open probe, if it tripped — starts
 //! producing again.
 //!
 //! The hazard is the restart-specific lost wakeup: the collector parks
@@ -9,7 +9,7 @@
 //! incarnation's first send must wake it. Build with
 //! `RUSTFLAGS="--cfg kloom"` (ci.sh's kloom gate does); `wait_timeout`
 //! never times out under kloom, so a lost wakeup is a reported deadlock,
-//! not a latency blip the watchdog papers over.
+//! not a latency blip the poll timeout papers over.
 #![cfg(kloom)]
 
 use std::time::Duration;

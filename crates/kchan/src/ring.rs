@@ -2,9 +2,9 @@
 //!
 //! **This is the one module in the workspace that is allowed to use
 //! `std::sync::atomic::Ordering` for cross-thread data publication**
-//! (klint rule D3 allowlists it, mirroring `fleet/src/metrics.rs` for
-//! pure counters). Every ordering choice below is load-bearing; the
-//! argument is spelled out once here and relied on everywhere else.
+//! (klint rule D3 allowlists it, and no other file). Every ordering
+//! choice below is load-bearing; the argument is spelled out once here
+//! and relied on everywhere else.
 //!
 //! # Layout
 //!

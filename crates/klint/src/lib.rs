@@ -16,7 +16,7 @@
 //! Suppression syntax, on the offending line or the line above:
 //!
 //! ```text
-//! // klint: allow(D1): the one real clock behind the Clock trait
+//! // klint: allow(D1): host wall time for a rate report, never digested
 //! let t = Instant::now();
 //! ```
 

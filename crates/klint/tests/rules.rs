@@ -129,9 +129,11 @@ fn d3_flags_relaxed_ordering_in_fleet() {
 }
 
 #[test]
-fn d3_allowlists_metrics_and_other_crates() {
+fn d3_covers_metrics_and_skips_other_crates() {
     let src = "fn f(x: &AtomicU64) { x.store(1, Ordering::Relaxed); }";
-    assert_eq!(fired("crates/fleet/src/metrics.rs", src), vec![]);
+    // The fleet's metrics are plain values; an atomic there is held to
+    // the same bar as the rest of the crate.
+    assert_eq!(fired("crates/fleet/src/metrics.rs", src), vec![Rule::D3]);
     assert_eq!(fired("crates/ksim/src/x.rs", src), vec![]);
 }
 

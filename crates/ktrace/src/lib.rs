@@ -21,9 +21,10 @@
 //!   skipped, smashed framing is resynchronised on block magic,
 //!   truncated tails flagged — all losses *counted* in a
 //!   [`RecoveryReport`], never guessed, never panicking.
-//! - [`sink`] — [`TeeSink`], a [`kleb::SampleSink`] that persists live
-//!   drain batches while forwarding them (e.g. to the fleet channel),
-//!   deferring I/O errors so storage trouble never perturbs capture.
+//! - [`sink`] — [`SharedWriter`], a shared handle on a [`TraceWriter`]
+//!   that a live [`kleb::SampleSink`] (the fleet supervisor's) appends
+//!   drain batches to, deferring I/O errors so storage trouble never
+//!   perturbs capture.
 //! - [`replay`] — [`TraceReplayer`] loads a directory of per-stream
 //!   segments back into memory in stream order; `fleet` drives them
 //!   through the collector as a drop-in machine source.
@@ -32,7 +33,7 @@
 //!
 //! Determinism contract: recording preserves drain-batch boundaries in
 //! the format, so a replayed run reconstructs the exact channel batch
-//! sequence the live run produced — watchdog, metrics and drop
+//! sequence the live run produced — store contents, metrics and drop
 //! accounting come out identical.
 
 pub mod codec;
@@ -56,5 +57,5 @@ pub use format::{
 pub use manifest::{Manifest, MANIFEST_EXT, MANIFEST_MAGIC};
 pub use reader::{FilteredRead, ReadFilter, RecoveredStream, RecoveryReport, TraceReader};
 pub use replay::{stream_file_name, TraceReplayer, TRACE_EXT};
-pub use sink::{SharedWriter, TeeSink};
+pub use sink::SharedWriter;
 pub use writer::{TraceWriter, DEFAULT_BLOCK_TARGET};

@@ -121,9 +121,9 @@ fn main() -> Result<(), kleb_repro::Error> {
     println!("{}", governed.governor_table());
     println!(
         "fleet counters: {} retunes, {} clamps, {} oscillations",
-        governed.metrics.governor_retunes(),
-        governed.metrics.governor_clamps(),
-        governed.metrics.governor_oscillations()
+        governed.metrics.governor_retunes,
+        governed.metrics.governor_clamps,
+        governed.metrics.governor_oscillations
     );
 
     assert!(

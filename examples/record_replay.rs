@@ -7,7 +7,7 @@
 //! ktrace columnar segment while the live pipeline consumes it. The
 //! recording is then loaded back and driven through the *same* fleet
 //! collector as a drop-in machine source; the run digest — samples,
-//! store contents, drop accounting, watchdog counters — must match the
+//! store contents, drop accounting, supervision health — must match the
 //! live run exactly. That equality is what makes recorded traces usable
 //! for regression testing: a code change that alters any observable
 //! behaviour of the pipeline changes the digest.
@@ -92,7 +92,7 @@ fn main() -> Result<(), kleb_repro::Error> {
     );
     println!(
         "  digests match: {} bytes of samples, store points, drop ledgers,\n  \
-         channel accounting and watchdog counters — byte-identical",
+         channel accounting and supervision health — byte-identical",
         live_digest.len()
     );
 

@@ -1,25 +1,24 @@
 //! Fleet supervision under injected thread panics: containment,
-//! deterministic restart with backoff, circuit breakers, and partial
-//! outcomes.
+//! deterministic restart, circuit breakers, and partial outcomes.
 //!
 //! Eight simulated machines run under K-LEB monitors. Two carry a
 //! low-rate `ThreadPanic` fault plan — their monitor threads die
-//! mid-run and the supervisor restarts them with seeded exponential
-//! backoff, resuming the sample stream where the dead incarnation left
-//! off. One more machine is beyond saving (a panic on every timer
-//! fire): it exhausts its restart budget, trips its circuit breaker,
-//! and the fleet completes *around* it — a partial outcome with the
-//! casualty's forensics in its health report, not a top-level error.
+//! mid-run and the supervisor restarts them at once, resuming the
+//! sample stream where the dead incarnation left off. One more machine
+//! is beyond saving (a panic on every timer fire): it exhausts its
+//! restart budget, trips its circuit breaker, and the fleet completes
+//! *around* it — a partial outcome with the casualty's forensics in its
+//! health report, not a top-level error.
 //!
 //! Because the fault RNG is attempt-salted and the recorded health is a
-//! pure function of the failure sequence (never of retry timing), the
-//! whole supervised run — restarts, breaker trips, spliced sample
+//! pure function of the failure sequence (supervision reads no clock),
+//! the whole supervised run — restarts, breaker trips, spliced sample
 //! streams — is reproducible: the same seed yields a byte-identical
 //! outcome digest, which the example proves by running the fleet twice.
 //!
 //! Run with: `cargo run --release --example supervision [--quick] [--seed N]`
 
-use fleet::{FleetConfig, FleetOutcome, FleetRunner, MachineSpec, SupervisorPolicy};
+use fleet::{FleetConfig, FleetOutcome, FleetRunner, MachineSpec};
 use kleb::KlebTuning;
 use kleb_bench::Scale;
 use ksim::{Duration, FaultPlan, FixedBlocks, MachineConfig, WorkBlock};
@@ -85,12 +84,6 @@ fn run_fleet(scale: &Scale) -> FleetOutcome {
     )
     .tuning(KlebTuning::microarchitectural())
     .machine(machine_config)
-    .supervise(
-        SupervisorPolicy::default()
-            .backoff_base_ns(200_000)
-            .backoff_cap_ns(2_000_000)
-            .breaker_cooldown_ns(1_000_000),
-    )
     .build();
     // Offset keeps the --seed-derived clean seeds clear of the sentinels.
     FleetRunner::new(config)

@@ -5,7 +5,7 @@
 //! same seed and plan replay the same faults, so these are regression
 //! tests, not roulette.
 
-use fleet::{FleetConfig, FleetRunner, MachineSpec};
+use fleet::{FleetConfig, FleetOutcome, FleetRunner, MachineSpec};
 use kleb::{KlebTuning, Monitor, MonitorOutcome};
 use ksim::{Duration, FaultPlan, FixedBlocks, Machine, MachineConfig, WorkBlock};
 use pmu::{EventCounts, HwEvent};
@@ -117,8 +117,15 @@ fn chaos_run_is_byte_identical_across_replays() {
     assert_ne!(encode(&a), encode(&c));
 }
 
-#[test]
-fn fleet_survives_chaos_with_exact_accounting_and_no_stuck_workers() {
+/// FNV-1a, 64 bits, as perfbench fingerprints a fleet digest.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Four machines under `FaultPlan::chaos(0.1)`.
+fn chaotic_fleet() -> FleetOutcome {
     let config = FleetConfig::builder(
         &[HwEvent::LlcReference, HwEvent::LlcMiss],
         Duration::from_micros(500),
@@ -138,14 +145,19 @@ fn fleet_survives_chaos_with_exact_accounting_and_no_stuck_workers() {
             })
         })
         .collect();
-    let outcome = FleetRunner::new(config)
+    FleetRunner::new(config)
         .run(specs)
-        .expect("chaotic fleet completes");
+        .expect("chaotic fleet completes")
+}
+
+#[test]
+fn fleet_survives_chaos_with_exact_accounting_and_no_stuck_workers() {
+    let outcome = chaotic_fleet();
     assert_eq!(outcome.machines.len(), 4, "every worker came home");
     assert!(
-        outcome.watchdog.all_recovered(),
-        "no machine left quarantined: {:?}",
-        outcome.watchdog
+        outcome.all_healthy(),
+        "no machine failed: {:?}",
+        outcome.health
     );
     assert_eq!(outcome.channel.total_dropped(), 0, "Block stays lossless");
     let mut any_faulted = false;
@@ -160,4 +172,16 @@ fn fleet_survives_chaos_with_exact_accounting_and_no_stuck_workers() {
         any_faulted |= s.samples_dropped > 0 || report.outcome.recovery != Default::default();
     }
     assert!(any_faulted, "chaos at 10% must actually touch the fleet");
+}
+
+#[test]
+fn chaotic_fleet_digest_is_pinned() {
+    // Length and FNV-1a of the digest, as perfbench fingerprints one: the
+    // chaos path's results must not move.
+    let digest = chaotic_fleet().digest();
+    assert_eq!(
+        (digest.len(), fnv1a(&digest)),
+        (4_220, 0xd8ab_3615_1646_3457),
+        "chaos(0.1) fleet digest moved"
+    );
 }

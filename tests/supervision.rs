@@ -5,17 +5,13 @@
 //! Everything rides on the attempt-salted fault RNG in [`ksim::faults`]:
 //! the same seed, plan, and attempt number replay the same panics, so a
 //! machine that dies on attempt 0 and survives attempt 2 does so on
-//! every run — these are regression tests, not roulette. Restart and
-//! breaker *timing* (backoff sleeps, cooldown waits) runs on the real
-//! clock, but the recorded health — restart counts, failure counts,
-//! breaker trips, final breaker state — is a pure function of the
-//! failure sequence, which is why the digest assertions below hold
-//! without a `TickClock`.
+//! every run — these are regression tests, not roulette. A panicked
+//! machine restarts at once and nothing here reads a clock: the recorded
+//! health — restart counts, failure counts, breaker trips, final breaker
+//! state — is a pure function of the failure sequence, which is why the
+//! digests below are pinned to exact bytes.
 
-use fleet::{
-    FailureKind, FleetConfig, FleetConfigBuilder, FleetOutcome, FleetRunner, MachineSpec,
-    SupervisorPolicy,
-};
+use fleet::{FailureKind, FleetConfig, FleetConfigBuilder, FleetOutcome, FleetRunner, MachineSpec};
 use kleb::KlebTuning;
 use ksim::{Duration, FaultPlan, FixedBlocks, MachineConfig, WorkBlock};
 use ktrace::TraceReplayer;
@@ -30,14 +26,11 @@ const PANIC_RATE: f64 = 0.02;
 /// Seed that `doomed_tiny` singles out for a certain-death fault plan.
 const DOOMED_SEED: u64 = 1_000;
 
-/// Supervision policy with sub-millisecond backoff and cooldown so the
-/// retry loop doesn't dominate test wall time. Counts are unaffected —
-/// only the sleeps shrink.
-fn fast_policy() -> SupervisorPolicy {
-    SupervisorPolicy::default()
-        .backoff_base_ns(100_000)
-        .backoff_cap_ns(500_000)
-        .breaker_cooldown_ns(500_000)
+/// FNV-1a, 64 bits, as perfbench fingerprints a fleet digest.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// Per-machine fault injection: seeds divisible by 4 carry a
@@ -84,13 +77,24 @@ fn config() -> FleetConfigBuilder {
     )
     .tuning(KlebTuning::microarchitectural())
     .machine(panicky_tiny)
-    .supervise(fast_policy())
 }
 
 fn run_recover_mix() -> FleetOutcome {
     FleetRunner::new(config().build())
         .run(specs(RECOVER_SEED))
         .expect("fleet with recovering machines completes")
+}
+
+/// A clean fleet around `m3`, which panics on every timer fire of every
+/// attempt.
+fn run_budget_exhaustion() -> FleetOutcome {
+    let mut machine_specs = specs(200);
+    machine_specs[3] = MachineSpec::new("m3".to_string(), DOOMED_SEED, |_seed| {
+        Box::new(FixedBlocks::new(3_000, WorkBlock::compute(1_000, 2_670))) as _
+    });
+    FleetRunner::new(config().machine(doomed_tiny).build())
+        .run(machine_specs)
+        .expect("one dead machine must not fail the fleet")
 }
 
 /// Probe used to tune `RECOVER_SEED` / `PANIC_RATE`; kept for re-tuning
@@ -168,7 +172,7 @@ fn panicked_machines_restart_and_the_fleet_recovers() {
         }
     }
     assert_eq!(
-        outcome.metrics.machine_restarts(),
+        outcome.metrics.machine_restarts,
         outcome
             .health
             .iter()
@@ -176,7 +180,7 @@ fn panicked_machines_restart_and_the_fleet_recovers() {
             .sum::<u64>(),
         "metrics mirror the per-machine restart counts"
     );
-    assert_eq!(outcome.metrics.machines_lost(), 0);
+    assert_eq!(outcome.metrics.machines_lost, 0);
 }
 
 #[test]
@@ -195,14 +199,26 @@ fn restart_digest_is_identical_across_reruns_at_the_same_seed() {
 }
 
 #[test]
+fn supervised_digests_are_pinned() {
+    // Length and FNV-1a of each digest, as perfbench fingerprints one:
+    // when and how fast restarts happen must not move a byte.
+    let recovered = run_recover_mix().digest();
+    assert_eq!(
+        (recovered.len(), fnv1a(&recovered)),
+        (48_112, 0xfbf7_d76a_64a2_a4d9),
+        "recover-mix fleet digest moved"
+    );
+    let exhausted = run_budget_exhaustion().digest();
+    assert_eq!(
+        (exhausted.len(), fnv1a(&exhausted)),
+        (41_872, 0x9ec6_71f5_27d9_a415),
+        "budget-exhaustion fleet digest moved"
+    );
+}
+
+#[test]
 fn budget_exhaustion_trips_the_breaker_and_yields_a_partial_outcome() {
-    let mut machine_specs = specs(200);
-    machine_specs[3] = MachineSpec::new("m3".to_string(), DOOMED_SEED, |_seed| {
-        Box::new(FixedBlocks::new(3_000, WorkBlock::compute(1_000, 2_670))) as _
-    });
-    let outcome = FleetRunner::new(config().machine(doomed_tiny).build())
-        .run(machine_specs)
-        .expect("one dead machine must not fail the fleet");
+    let outcome = run_budget_exhaustion();
     assert_eq!(
         outcome.machines.len() as u64,
         FLEET,
@@ -246,14 +262,22 @@ fn budget_exhaustion_trips_the_breaker_and_yields_a_partial_outcome() {
         );
         assert!(!report.outcome.samples.is_empty());
     }
-    // The dead machine died without ever closing its stream: the
-    // watchdog's done-ledger is how the collector side records that.
-    assert_eq!(outcome.watchdog.unfinished_streams(), vec![3]);
+    // The dead machine died without ever closing its stream: none of
+    // the samples it forwarded is a final one, while every survivor
+    // forwarded one.
+    let unclosed: Vec<usize> = outcome
+        .machines
+        .iter()
+        .enumerate()
+        .filter(|(_, m)| !m.outcome.samples.iter().any(|s| s.final_sample))
+        .map(|(i, _)| i)
+        .collect();
+    assert_eq!(unclosed, vec![3]);
     // Fleet metrics carry the casualty accounting.
-    assert_eq!(outcome.metrics.machines_lost(), 1);
-    assert!(outcome.metrics.machine_restarts() >= 3);
-    assert!(outcome.metrics.breaker_trips() >= 1);
-    assert_eq!(outcome.metrics.machine_failures(), 4);
+    assert_eq!(outcome.metrics.machines_lost, 1);
+    assert!(outcome.metrics.machine_restarts >= 3);
+    assert!(outcome.metrics.breaker_trips >= 1);
+    assert_eq!(outcome.metrics.machine_failures, 4);
 }
 
 #[test]
@@ -263,8 +287,7 @@ fn zero_intensity_fault_plans_change_nothing() {
         Duration::from_micros(100),
     )
     .tuning(KlebTuning::microarchitectural())
-    .machine(MachineConfig::test_tiny)
-    .supervise(fast_policy());
+    .machine(MachineConfig::test_tiny);
     let clean = FleetRunner::new(base.clone().build())
         .run(specs(90))
         .expect("clean fleet");
@@ -277,7 +300,7 @@ fn zero_intensity_fault_plans_change_nothing() {
         "a zero-rate panic plan must be byte-identical to no plan at all"
     );
     assert!(clean.all_healthy() && zeroed.all_healthy());
-    assert_eq!(clean.metrics.machine_restarts(), 0);
+    assert_eq!(clean.metrics.machine_restarts, 0);
 }
 
 #[test]
@@ -306,7 +329,6 @@ fn record_replay_is_bit_exact_under_panic_restarts() {
         }
         c
     })
-    .supervise(fast_policy())
     .persist(&dir)
     .build();
     let live = FleetRunner::new(recording.clone())

@@ -2,7 +2,7 @@
 //!
 //! | Rule | Invariant | Scope |
 //! |------|-----------|-------|
-//! | `D1` | no wall-clock / unseeded RNG (`SystemTime::now`, `Instant::now`, argless `thread_rng()`, `from_entropy()`, `rand::random()`) — simulated time comes from `ksim::time`, randomness from seeded `StdRng` | `pmu`, `ksim`, `memsim`, `kleb`, `workloads`, `fleet`, `ktrace`, `kchan` |
+//! | `D1` | no wall-clock / unseeded RNG (`SystemTime::now`, `Instant::now`, argless `thread_rng()`, `from_entropy()`, `rand::random()`) — simulated time comes from `ksim::time`, randomness from seeded `StdRng` | `pmu`, `ksim`, `memsim`, `kleb`, `workloads`, `fleet`, `ktrace`, `kchan`, `bench` |
 //! | `D2` | no `unwrap()` / `expect()` in library code — use typed errors | `pmu`, `ksim`, `kleb`, `ktrace`, `kchan` (non-test); plus `fleet/src/supervisor.rs`, the one fleet file opted in file-by-file |
 //! | `D3` | no `Ordering::Relaxed` on atomics that gate cross-thread data visibility | `fleet`, `kchan` (allowlist: `kchan/src/ring.rs`, the documented ordering-protocol module) |
 //! | `M1` | `wrmsr`/`rdmsr` call sites name a `pmu::msr` constant, never a bare integer MSR address | all crates (non-test) |
@@ -76,7 +76,15 @@ impl Rule {
             Rule::D1 => matches!(
                 crate_name,
                 Some(
-                    "pmu" | "ksim" | "memsim" | "kleb" | "workloads" | "fleet" | "ktrace" | "kchan"
+                    "pmu"
+                        | "ksim"
+                        | "memsim"
+                        | "kleb"
+                        | "workloads"
+                        | "fleet"
+                        | "ktrace"
+                        | "kchan"
+                        | "bench"
                 )
             ),
             Rule::D2 => matches!(

@@ -12,7 +12,7 @@ use klint::{Rule, ALL_RULES};
 
 /// Crates deliberately outside every determinism rule, with the reason.
 /// (They remain covered by the workspace-wide rules M1/U1/A1.)
-const DETERMINISM_EXEMPT: [(&str, &str); 5] = [
+const DETERMINISM_EXEMPT: [(&str, &str); 4] = [
     (
         "analysis",
         "offline post-processing; panicking on malformed input is acceptable",
@@ -20,10 +20,6 @@ const DETERMINISM_EXEMPT: [(&str, &str); 5] = [
     (
         "baselines",
         "comparison harness for the paper's baseline tools, not simulation core",
-    ),
-    (
-        "bench",
-        "criterion-style benchmark harness; timing reads are its purpose",
     ),
     (
         "klint",

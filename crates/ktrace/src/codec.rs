@@ -330,12 +330,46 @@ mod tests {
         assert_eq!(enc.lane_mask & (1 << 6), 0);
     }
 
+    /// A fleet-shaped stream: 100 µs timestamps with up to 700 ns of
+    /// seeded timer jitter, noisy fixed and PMC lanes, rare gaps.
+    fn noisy_stream(n: u64, seed: u64) -> Vec<Sample> {
+        let noise = |i: u64| crate::corrupt::splitmix64(&mut (seed ^ i));
+        let mut ts = 1_000_000;
+        (0..n)
+            .map(|i| {
+                ts += 100_000 + noise(i) % 700;
+                Sample {
+                    timestamp_ns: ts,
+                    seq: i,
+                    pid: 31337,
+                    final_sample: i + 1 == n,
+                    gap: noise(i).is_multiple_of(97),
+                    retune: false,
+                    fixed: [1_000 + noise(i) % 40, 2_670 + noise(i ^ 1) % 25, 2_000],
+                    pmc: [40 + noise(i ^ 2) % 11, noise(i ^ 3) % 4, 0, 0],
+                }
+            })
+            .collect()
+    }
+
     #[test]
     fn dense_stream_beats_ten_bytes_per_sample() {
-        let samples = stream(512);
-        let enc = encode_block(&samples, &[512]);
-        let per = enc.payload.len() as f64 / samples.len() as f64;
-        assert!(per < 10.0, "got {per:.2} bytes/sample");
+        let mut cases = vec![(stream(512), vec![512])];
+        for n in [256, 4096] {
+            // 16-sample batches: a typical fleet drain granularity.
+            cases.push((noisy_stream(n, 42), vec![16; n as usize / 16]));
+        }
+        for (samples, lens) in cases {
+            let enc = encode_block(&samples, &lens);
+            let per = enc.payload.len() as f64 / samples.len() as f64;
+            assert!(
+                per < 10.0,
+                "{} samples: got {per:.2} bytes/sample",
+                samples.len()
+            );
+            let decoded = decode_block(&enc.payload, samples.len()).unwrap();
+            assert_eq!(decoded, (samples, lens));
+        }
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! time in nanoseconds of processes that go through each way `ksim` turns
 //! cache traffic into events: compute blocks, the K-LEB handler's
 //! kernel-line touches (which evict the service's lines), and timed
-//! Flush+Reload probes.
+//! Flush+Reload probes. The two K-LEB runs that count kernel mode also pin
+//! what the kernel charges produce: the target's kernel CPU time and
+//! kernel events, and core 0's kernel-mode PMU ledger.
 
 use kleb::Monitor;
 use ksim::{
@@ -14,7 +16,7 @@ use ksim::{
     WorkItem,
 };
 use memsim::{AccessKind, AccessPattern};
-use pmu::HwEvent;
+use pmu::{EventCounts, HwEvent, Privilege};
 use workloads::DockerImage;
 
 /// One line per process: name, user ns, then every non-zero user event.
@@ -29,6 +31,23 @@ fn pinned(info: &ProcessInfo) -> String {
         info.name,
         info.cpu_user.as_nanos(),
         events.join(" ")
+    )
+}
+
+fn nonzero(events: &EventCounts) -> String {
+    let events: Vec<String> = events.iter().map(|(e, n)| format!("{e:?}={n}")).collect();
+    events.join(" ")
+}
+
+/// The kernel side of a run: the target's kernel ns and every non-zero
+/// kernel event charged to it, then core 0's kernel-mode ledger, which
+/// also holds the charges made while no process was current.
+fn pinned_kernel(info: &ProcessInfo, m: &Machine) -> String {
+    format!(
+        "{} {} | ledger {}",
+        info.cpu_kernel.as_nanos(),
+        nonzero(&info.true_kernel_events),
+        nonzero(m.pmu(CoreId(0)).ledger(Privilege::Kernel))
     )
 }
 
@@ -142,6 +161,10 @@ fn flush_reload_probe_has_pinned_counts() {
         actual,
         "probe 248803 InstructionsRetired=30440 CoreCycles=664302 RefCycles=664302 Load=2312 Store=1 LlcReference=2310 LlcMiss=2304 L1dMiss=2312 L2Miss=2310 | 5 samples, pmc sums [188387, 2740, 2738, 2704]"
     );
+    assert_eq!(
+        pinned_kernel(&outcome.target, &m),
+        "308775 InstructionsRetired=741955 CoreCycles=824431 RefCycles=824431 Load=185460 Store=92722 BranchRetired=148365 | ledger InstructionsRetired=746313 CoreCycles=829275 RefCycles=829275 Load=188548 Store=93265 BranchRetired=149236 LlcReference=428 LlcMiss=400 L1dMiss=428 L2Miss=428"
+    );
 }
 
 /// A compute-only program under K-LEB at 100 us counting kernel mode: 400
@@ -174,5 +197,9 @@ fn compute_only_program_under_kleb_has_pinned_counts() {
     assert_eq!(
         actual,
         "259 samples, pmc sums [9675558, 400, 400, 400] | l1d CacheStats { accesses: 103600, hits: 103200, misses: 400, evictions: 0, writebacks: 0, flushes: 0 } | l2 CacheStats { accesses: 400, hits: 0, misses: 400, evictions: 0, writebacks: 0, flushes: 0 } | llc CacheStats { accesses: 400, hits: 0, misses: 400, evictions: 0, writebacks: 0, flushes: 0 }"
+    );
+    assert_eq!(
+        pinned_kernel(&outcome.target, &m),
+        "15951445 InstructionsRetired=38329859 CoreCycles=42590575 RefCycles=42590575 Load=9580963 Store=4790080 BranchRetired=7664625 | ledger InstructionsRetired=38334217 CoreCycles=42595419 RefCycles=42595419 Load=9685651 Store=4790623 BranchRetired=7665496 LlcReference=400 LlcMiss=400 L1dMiss=400 L2Miss=400"
     );
 }

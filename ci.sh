@@ -46,6 +46,19 @@ for workload in paper_overhead docker_mpki fleet_record_replay; do
     done
 done | diff -u tests/golden/perfbench_exact-42.txt -
 
+echo "==> perfbench held-out seed (every workload at seed 7 matches perfbench/reference/<workload>-7.txt)"
+# perfbench checks its own outputs against the committed references and
+# reports "correct"; seed 7 is the seed no change is tuned on.
+for workload in paper_overhead docker_mpki fleet_record_replay; do
+    json=$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 7 --seconds 1 --trace 0 | tail -n 1)
+    if ! grep -q '"correct": true' <<<"$json" || ! grep -q '"failed": 0,' <<<"$json"; then
+        echo "$workload at seed 7: $json"
+        exit 1
+    fi
+    echo "$workload seed 7 correct, failed 0"
+done
+
 echo "==> chaos gate (fault injection: accounting, determinism, recovery)"
 cargo test -q --test chaos
 cargo run -q --release --example fault_matrix -- --quick

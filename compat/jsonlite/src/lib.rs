@@ -201,11 +201,14 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 _ => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).ok()?;
-                    let c = rest.chars().next()?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of plain bytes up to the next quote or
+                    // backslash in one piece, validating only that run.
+                    // Both stoppers are ASCII, so a run never splits a
+                    // UTF-8 scalar; an unterminated string has no stopper.
+                    let rest = &self.bytes[self.pos..];
+                    let len = rest.iter().position(|&b| b == b'"' || b == b'\\')?;
+                    out.push_str(std::str::from_utf8(&rest[..len]).ok()?);
+                    self.pos += len;
                 }
             }
         }
@@ -542,6 +545,18 @@ mod tests {
         assert_eq!(parse(b""), None);
         assert_eq!(from_slice::<u32>(b"4294967296"), Err(Error), "out of range");
         assert_eq!(from_slice::<u64>(b"-1"), Err(Error));
+        assert_eq!(parse(b"\"unterminated"), None);
+        // Invalid UTF-8 inside a string: a stray byte, a lone continuation
+        // byte, a truncated snowman and an overlong NUL, each also just
+        // before an escape.
+        for bad in [&b"\xFF"[..], b"\x80", b"\xE2\x98", b"\xC0\x80"] {
+            for tail in [&b""[..], b"\\n"] {
+                let text = [&b"[\"ok\", \"a"[..], bad, tail, b"b\"]"].concat();
+                assert_eq!(parse(&text), None, "{text:?}");
+            }
+        }
+        let good = [&b"[\"ok\", \"a"[..], "é".as_bytes(), b"\\n", b"b\"]"].concat();
+        assert!(parse(&good).is_some());
     }
 
     #[test]
@@ -562,5 +577,17 @@ mod tests {
     fn unicode_strings_survive() {
         let s = "héllo ☃ \u{1}".to_string();
         assert_eq!(from_slice::<String>(&to_vec(&s).unwrap()), Ok(s));
+        // 64 KiB of mixed one- to four-byte scalars and escaped characters,
+        // which parses in time linear in its length.
+        let long: String = "ab é ☃ 𝄞 \"q\" \\ \n"
+            .chars()
+            .cycle()
+            .scan(0, |len, c| {
+                *len += c.len_utf8();
+                (*len <= 64 * 1024).then_some(c)
+            })
+            .collect();
+        assert!(long.len() > 64 * 1024 - 4);
+        assert_eq!(from_slice::<String>(&to_vec(&long).unwrap()), Ok(long));
     }
 }

@@ -193,7 +193,11 @@ impl DramCoreState {
     fn decay_and_add(&mut self, model: &DramModel, now: Instant, lines: u64) {
         let dt = now.saturating_since(self.last_update).as_nanos() as f64;
         if dt > 0.0 {
-            self.pressure *= (-dt / model.window_ns as f64).exp();
+            // Zero pressure times a decay factor in [0, 1] is zero again,
+            // so a core with no DRAM traffic skips the `exp`.
+            if self.pressure != 0.0 {
+                self.pressure *= (-dt / model.window_ns as f64).exp();
+            }
             self.last_update = now;
         }
         self.pressure += lines as f64;
@@ -1017,26 +1021,30 @@ impl Machine {
     /// Charges `cycles` of kernel-mode work on `core`, synthesizing the
     /// architectural events that work generates and attributing CPU time to
     /// `pid` (the interrupted/current process), as `/proc` accounting does.
+    ///
+    /// Each charge rounds its own instruction and nanosecond counts, so
+    /// charges must not be summed before they are made.
     fn charge_kernel(&mut self, core: CoreId, pid: Option<Pid>, cycles: u64) {
         if cycles == 0 {
             return;
         }
         let instructions = self.cfg.cost.kernel_instructions(cycles);
-        let events = EventCounts::new()
-            .with(HwEvent::InstructionsRetired, instructions)
-            .with(HwEvent::BranchRetired, instructions / 5)
-            .with(HwEvent::Load, instructions / 4)
-            .with(HwEvent::Store, instructions / 8)
-            .with(HwEvent::CoreCycles, cycles)
-            .with(HwEvent::RefCycles, cycles);
+        let events = [
+            (HwEvent::InstructionsRetired, instructions),
+            (HwEvent::BranchRetired, instructions / 5),
+            (HwEvent::Load, instructions / 4),
+            (HwEvent::Store, instructions / 8),
+            (HwEvent::CoreCycles, cycles),
+            (HwEvent::RefCycles, cycles),
+        ];
         let c = &mut self.cores[core.0];
-        c.pmu.observe(&events, Privilege::Kernel);
+        c.pmu.observe_sparse(&events, Privilege::Kernel);
         let elapsed = self.cfg.freq.cycles_to_duration(cycles);
         c.now += elapsed;
         if let Some(p) = pid {
             let proc = self.procs.get_mut(p);
             proc.info.cpu_kernel += elapsed;
-            proc.info.true_kernel_events.merge(&events);
+            proc.info.true_kernel_events.extend(events);
         }
     }
 
@@ -1312,9 +1320,60 @@ impl KernelCtx<'_> {
 mod tests {
     use super::*;
     use crate::workload::FixedBlocks;
+    use rand::RngCore;
 
     fn machine() -> Machine {
         Machine::new(MachineConfig::test_tiny(1))
+    }
+
+    /// Two cores of DRAM traffic, alternating quiet phases (no lines, and
+    /// gaps long enough for the decay to reach zero) with busy ones, and
+    /// with `dt = 0` steps throughout: every pressure bit, every update
+    /// time and every stall multiplier equal the path that always
+    /// multiplies by `exp`.
+    #[test]
+    fn zero_pressure_skip_matches_the_always_decaying_path() {
+        fn decay_always(state: &mut DramCoreState, model: &DramModel, now: Instant, lines: u64) {
+            let dt = now.saturating_since(state.last_update).as_nanos() as f64;
+            if dt > 0.0 {
+                state.pressure *= (-dt / model.window_ns as f64).exp();
+                state.last_update = now;
+            }
+            state.pressure += lines as f64;
+        }
+        let model = DramModel::ddr3_triple_channel();
+        let mut fast = DramState::new(2);
+        let mut oracle = DramState::new(2);
+        let mut rng = StdRng::seed_from_u64(42);
+        let mut now = [Instant::ZERO; 2];
+        let mut skipped = 0;
+        for step in 0..20_000u64 {
+            let x = rng.next_u64();
+            let core = (x & 1) as usize;
+            let dt = match (x >> 1) % 4 {
+                0 => 0,
+                1 => (x >> 40) % 1_000,
+                2 => (x >> 20) % 200_000,
+                _ => (x >> 8) % 100_000_000,
+            };
+            now[core] += Duration::from_nanos(dt);
+            let busy = (step / 500) % 2 == 1 && (x >> 4) % 3 == 0;
+            let lines = if busy { (x >> 32) % 5_000 } else { 0 };
+            if fast.per_core[core].pressure == 0.0 && dt > 0 {
+                skipped += 1;
+            }
+            let got = fast.penalty(&model, core, now[core], lines);
+            decay_always(&mut oracle.per_core[core], &model, now[core], lines);
+            let total: f64 = oracle.per_core.iter().map(|c| c.pressure).sum();
+            let util = (total / model.capacity_lines_per_window as f64).min(1.0);
+            let want = 1.0 + model.max_extra * util;
+            assert_eq!(got.to_bits(), want.to_bits(), "step {step}");
+            for (f, o) in fast.per_core.iter().zip(&oracle.per_core) {
+                assert_eq!(f.pressure.to_bits(), o.pressure.to_bits(), "step {step}");
+                assert_eq!(f.last_update, o.last_update, "step {step}");
+            }
+        }
+        assert!(skipped > 1_000, "only {skipped} steps took the zero path");
     }
 
     #[test]

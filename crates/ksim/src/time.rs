@@ -198,8 +198,19 @@ impl CpuFreq {
         if cycles == 0 {
             return Duration::ZERO;
         }
-        let ns = (cycles as u128 * 1_000_000_000u128 + self.hz as u128 / 2) / self.hz as u128;
-        Duration::from_nanos((ns as u64).max(1))
+        // The u64 form gives the same quotient whenever its dividend fits,
+        // which it does below about 1.8e10 cycles (6.9 s at 2.67 GHz).
+        let ns = match cycles
+            .checked_mul(1_000_000_000)
+            .and_then(|n| n.checked_add(self.hz / 2))
+        {
+            Some(dividend) => dividend / self.hz,
+            None => {
+                ((cycles as u128 * 1_000_000_000u128 + self.hz as u128 / 2) / self.hz as u128)
+                    as u64
+            }
+        };
+        Duration::from_nanos(ns.max(1))
     }
 
     /// Converts a duration to cycles (rounding down).
@@ -246,6 +257,53 @@ mod tests {
         let f = CpuFreq::I7_920;
         assert_eq!(f.cycles_to_duration(0), Duration::ZERO);
         assert!(f.cycles_to_duration(1) >= Duration::from_nanos(1));
+    }
+
+    /// The conversion equals the all-u128 formula at both shipped
+    /// frequencies and at 1 Hz and 3 GHz: for counts of every magnitude,
+    /// around `u64::MAX / 10^9`, and on both sides of the largest count
+    /// whose u64 dividend fits.
+    #[test]
+    fn cycles_to_duration_matches_the_u128_formula() {
+        fn reference(freq: CpuFreq, cycles: u64) -> Duration {
+            if cycles == 0 {
+                return Duration::ZERO;
+            }
+            let hz = freq.hz() as u128;
+            let ns = (cycles as u128 * 1_000_000_000u128 + hz / 2) / hz;
+            Duration::from_nanos((ns as u64).max(1))
+        }
+        let freqs = [
+            CpuFreq::I7_920,
+            CpuFreq::XEON_8259CL,
+            CpuFreq::from_hz(1),
+            CpuFreq::from_hz(3_000_000_000),
+        ];
+        let mut x = 42u64;
+        for freq in freqs {
+            let fits = (u64::MAX - freq.hz() / 2) / 1_000_000_000;
+            let mut cycles: Vec<u64> = [0, 1, 2, 3, u64::MAX - 1, u64::MAX].to_vec();
+            for center in [u64::MAX / 1_000_000_000, fits] {
+                cycles.extend(center - 2_000..=center + 2_000);
+            }
+            for _ in 0..20_000 {
+                // SplitMix64, shifted so every magnitude is drawn.
+                x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = x;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^= z >> 31;
+                cycles.push(z >> (z % 64));
+            }
+            for c in cycles {
+                assert_eq!(
+                    freq.cycles_to_duration(c),
+                    reference(freq, c),
+                    "{c} cycles at {} Hz",
+                    freq.hz()
+                );
+            }
+        }
     }
 
     #[test]

@@ -54,6 +54,8 @@ pub mod eventsel;
 pub mod msr;
 pub mod multiplex;
 pub mod protocol;
+#[cfg(test)]
+mod reference;
 mod unit;
 
 pub use counter::{Counter, COUNTER_WIDTH_BITS};

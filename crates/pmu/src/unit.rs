@@ -69,6 +69,59 @@ impl PmuSnapshot {
     }
 }
 
+/// The event each fixed-function counter counts.
+const FIXED_EVENTS: [HwEvent; NUM_FIXED] = [
+    HwEvent::InstructionsRetired,
+    HwEvent::CoreCycles,
+    HwEvent::RefCycles,
+];
+
+/// One counter that counts at one privilege, decoded from the control
+/// registers.
+#[derive(Debug, Clone, Copy)]
+struct Lane {
+    /// `IA32_PMCn` below [`NUM_PROGRAMMABLE`], else fixed counter
+    /// `counter - NUM_PROGRAMMABLE`.
+    counter: usize,
+    /// The event it counts.
+    event: HwEvent,
+    /// Its bit in `IA32_PERF_GLOBAL_STATUS`.
+    status_bit: u64,
+    /// Whether its overflow raises a PMI (the INT bit, or the fixed
+    /// counter's PMI bit).
+    pmi: bool,
+}
+
+/// The counters that count at one privilege, in counter order: the
+/// control registers decoded once, so a batch visits only these.
+#[derive(Debug, Clone, Copy)]
+struct CountingPlan {
+    lanes: [Lane; NUM_PROGRAMMABLE + NUM_FIXED],
+    len: usize,
+}
+
+impl CountingPlan {
+    const EMPTY: CountingPlan = CountingPlan {
+        lanes: [Lane {
+            counter: 0,
+            event: HwEvent::InstructionsRetired,
+            status_bit: 0,
+            pmi: false,
+        }; NUM_PROGRAMMABLE + NUM_FIXED],
+        len: 0,
+    };
+
+    fn push(&mut self, lane: Lane) {
+        self.lanes[self.len] = lane;
+        self.len += 1;
+    }
+
+    #[inline]
+    fn lanes(&self) -> &[Lane] {
+        &self.lanes[..self.len]
+    }
+}
+
 /// The PMU for one simulated core.
 ///
 /// See the [crate-level documentation](crate) for an overview and example.
@@ -81,6 +134,10 @@ pub struct Pmu {
     global_ctrl: u64,
     global_status: u64,
     pmi_pending: bool,
+    /// The counters that count user and kernel batches, rebuilt from the
+    /// control registers whenever one of them changes.
+    plan_user: CountingPlan,
+    plan_kernel: CountingPlan,
     /// Ground truth: every event ever observed, per privilege, regardless of
     /// counter programming. Accuracy experiments (Fig. 9) compare tool
     /// readings against this ledger.
@@ -108,6 +165,8 @@ impl Pmu {
             global_ctrl: 0,
             global_status: 0,
             pmi_pending: false,
+            plan_user: CountingPlan::EMPTY,
+            plan_kernel: CountingPlan::EMPTY,
             ledger_user: EventCounts::new(),
             ledger_kernel: EventCounts::new(),
             checker: None,
@@ -145,12 +204,19 @@ impl Pmu {
             }
             msr::IA32_PERFEVTSEL0..=msr::IA32_PERFEVTSEL3 => {
                 self.evtsel[(addr - msr::IA32_PERFEVTSEL0) as usize] = EventSel::from_bits(value);
+                self.rebuild_plans();
             }
             msr::IA32_FIXED_CTR0..=msr::IA32_FIXED_CTR2 => {
                 self.fixed[(addr - msr::IA32_FIXED_CTR0) as usize].write(value);
             }
-            msr::IA32_FIXED_CTR_CTRL => self.fixed_ctrl = value,
-            msr::IA32_PERF_GLOBAL_CTRL => self.global_ctrl = value,
+            msr::IA32_FIXED_CTR_CTRL => {
+                self.fixed_ctrl = value;
+                self.rebuild_plans();
+            }
+            msr::IA32_PERF_GLOBAL_CTRL => {
+                self.global_ctrl = value;
+                self.rebuild_plans();
+            }
             msr::IA32_PERF_GLOBAL_STATUS => return Err(PmuError::ReadOnlyMsr(addr)),
             msr::IA32_PERF_GLOBAL_OVF_CTRL => {
                 // Write-1-to-clear the corresponding status bits.
@@ -265,61 +331,118 @@ impl Pmu {
         self.fixed_field(n) & 0b1000 != 0
     }
 
+    /// Decodes the control registers into the user and kernel counting
+    /// plans. Every write to `IA32_PERFEVTSELn`, `IA32_FIXED_CTR_CTRL` or
+    /// `IA32_PERF_GLOBAL_CTRL` calls it, and so do
+    /// [`freeze`](Self::freeze) and [`unfreeze`](Self::unfreeze).
+    fn rebuild_plans(&mut self) {
+        self.plan_user = self.decode_plan(Privilege::User);
+        self.plan_kernel = self.decode_plan(Privilege::Kernel);
+    }
+
+    fn decode_plan(&self, privilege: Privilege) -> CountingPlan {
+        let mut plan = CountingPlan::EMPTY;
+        for n in 0..NUM_PROGRAMMABLE {
+            if !self.pmc_active(n) || !self.evtsel[n].counts_at(privilege) {
+                continue;
+            }
+            // An unknown encoding counts nothing, like hardware.
+            if let Some(event) = self.evtsel[n].event() {
+                plan.push(Lane {
+                    counter: n,
+                    event,
+                    status_bit: msr::global_ctrl_pmc_bit(n),
+                    pmi: self.evtsel[n].int_enabled(),
+                });
+            }
+        }
+        for (n, &event) in FIXED_EVENTS.iter().enumerate() {
+            if self.fixed_active_at(n, privilege) {
+                plan.push(Lane {
+                    counter: NUM_PROGRAMMABLE + n,
+                    event,
+                    status_bit: msr::global_ctrl_fixed_bit(n),
+                    pmi: self.fixed_pmi_enabled(n),
+                });
+            }
+        }
+        plan
+    }
+
     /// Applies a batch of events at `privilege` to every active counter and
     /// to the ground-truth ledger.
     ///
     /// Counters that overflow set their `IA32_PERF_GLOBAL_STATUS` bit; if the
     /// overflowing counter has its INT (or fixed PMI) bit set, a PMI becomes
     /// pending (see [`take_pmi`](Self::take_pmi)).
+    #[inline]
     pub fn observe(&mut self, batch: &EventCounts, privilege: Privilege) {
-        let status_before = self.global_status;
+        self.ledger_mut(privilege).merge(batch);
+        self.count(privilege, |event| batch.get(event));
+    }
+
+    /// [`observe`](Self::observe) for a batch of a few events, given as
+    /// `(event, count)` pairs: the same as observing the pairs collected
+    /// into an [`EventCounts`] (a repeated event adds up), without visiting
+    /// the events the pairs leave out. It is inlined, so a caller whose
+    /// events are constants updates the ledger with one add per pair.
+    #[inline]
+    pub fn observe_sparse(&mut self, events: &[(HwEvent, u64)], privilege: Privilege) {
+        self.ledger_mut(privilege).extend(events.iter().copied());
+        self.count(privilege, |event| {
+            events
+                .iter()
+                .filter(|&&(e, _)| e == event)
+                .map(|&(_, n)| n)
+                .sum()
+        });
+    }
+
+    #[inline]
+    fn ledger_mut(&mut self, privilege: Privilege) -> &mut EventCounts {
         match privilege {
-            Privilege::User => self.ledger_user.merge(batch),
-            Privilege::Kernel => self.ledger_kernel.merge(batch),
+            Privilege::User => &mut self.ledger_user,
+            Privilege::Kernel => &mut self.ledger_kernel,
         }
-        for n in 0..NUM_PROGRAMMABLE {
-            if !self.pmc_active(n) || !self.evtsel[n].counts_at(privilege) {
-                continue;
-            }
-            let Some(event) = self.evtsel[n].event() else {
-                continue; // unknown encoding counts nothing, like hardware
-            };
-            let count = batch.get(event);
+    }
+
+    /// Adds `count_of(event)` to every counter of `privilege`'s plan,
+    /// setting the status bit of each that overflows and raising a PMI
+    /// where its lane asks for one.
+    #[inline]
+    fn count(&mut self, privilege: Privilege, count_of: impl Fn(HwEvent) -> u64) {
+        let Pmu {
+            pmc,
+            fixed,
+            global_status,
+            pmi_pending,
+            plan_user,
+            plan_kernel,
+            checker,
+            ..
+        } = self;
+        let plan = match privilege {
+            Privilege::User => plan_user,
+            Privilege::Kernel => plan_kernel,
+        };
+        let status_before = *global_status;
+        for lane in plan.lanes() {
+            let count = count_of(lane.event);
             if count == 0 {
                 continue;
             }
-            let overflows = self.pmc[n].add(count);
-            if overflows > 0 {
-                self.global_status |= msr::global_ctrl_pmc_bit(n);
-                if self.evtsel[n].int_enabled() {
-                    self.pmi_pending = true;
-                }
-            }
-        }
-        for n in 0..NUM_FIXED {
-            if !self.fixed_active_at(n, privilege) {
-                continue;
-            }
-            let event = match n {
-                0 => HwEvent::InstructionsRetired,
-                1 => HwEvent::CoreCycles,
-                _ => HwEvent::RefCycles,
+            let counter = match lane.counter.checked_sub(NUM_PROGRAMMABLE) {
+                None => &mut pmc[lane.counter],
+                Some(n) => &mut fixed[n],
             };
-            let count = batch.get(event);
-            if count == 0 {
-                continue;
-            }
-            let overflows = self.fixed[n].add(count);
-            if overflows > 0 {
-                self.global_status |= msr::global_ctrl_fixed_bit(n);
-                if self.fixed_pmi_enabled(n) {
-                    self.pmi_pending = true;
-                }
+            if counter.add(count) > 0 {
+                *global_status |= lane.status_bit;
+                *pmi_pending |= lane.pmi;
             }
         }
-        let new_bits = self.global_status & !status_before;
+        let new_bits = *global_status & !status_before;
         if new_bits != 0 {
-            if let Some(c) = &self.checker {
+            if let Some(c) = checker {
                 c.borrow_mut().on_overflow(new_bits);
             }
         }
@@ -362,12 +485,15 @@ impl Pmu {
     /// `IA32_PERF_GLOBAL_CTRL`, returning the previous value so it can be
     /// restored. This is the mechanism K-LEB uses for process isolation.
     pub fn freeze(&mut self) -> u64 {
-        std::mem::take(&mut self.global_ctrl)
+        let saved = std::mem::take(&mut self.global_ctrl);
+        self.rebuild_plans();
+        saved
     }
 
     /// Restores a control value saved by [`freeze`](Self::freeze).
     pub fn unfreeze(&mut self, saved_ctrl: u64) {
         self.global_ctrl = saved_ctrl;
+        self.rebuild_plans();
     }
 }
 

@@ -1106,8 +1106,11 @@ pub struct ColocationResult {
 /// and the two computation-intensive ones on the other; the blind
 /// scheduler spreads by arrival order and co-runs the two streamers,
 /// fighting over memory bandwidth while their cache pollution also evicts
-/// the compute services' working sets. Service durations are calibrated
-/// equal, so the difference isolates contention rather than load balance.
+/// the compute services' working sets. Each service is a root process with
+/// its own address space, and all four share the machine's one LLC, so a
+/// streamer's fills evict the compute services' lines on either core.
+/// Service durations are calibrated equal, so the difference isolates
+/// contention rather than load balance.
 pub fn colocation_case_study(scale: &Scale) -> ColocationResult {
     use ksim::CoreId;
 

@@ -3,9 +3,10 @@
 //! This crate supplies everything a performance-monitoring tool interacts
 //! with on a real Linux machine, in simulated form:
 //!
-//! - [`Machine`]: multi-core execution engine with per-core
-//!   [`pmu::Pmu`] and [`memsim::Hierarchy`], a preemptive round-robin
-//!   scheduler, and a deterministic discrete-event queue;
+//! - [`Machine`]: multi-core execution engine with a [`pmu::Pmu`] per
+//!   core, one [`memsim::Hierarchy`] of private L1d/L2 pairs over a shared
+//!   LLC, a physical address space per process tree, a preemptive
+//!   round-robin scheduler, and a deterministic discrete-event queue;
 //! - [`Workload`]: the program model — compute blocks with memory-access
 //!   patterns, syscalls, `rdpmc` reads, sleeps, and child spawning;
 //! - [`Device`]: loadable-kernel-module interface with ioctl/read entry

@@ -5,8 +5,9 @@
 //! Each way holds its tag, valid and dirty flags and an LRU timestamp. A
 //! probe scans the set for the tag; a fill scans it again for the first
 //! invalid way, else the way with the oldest timestamp. Invalid ways may
-//! sit anywhere in a set, and the hierarchy keeps its own `MemStats`.
-//! A run of a pattern plays its accesses one by one.
+//! sit anywhere in a set, and every core keeps its own `MemStats`. An LLC
+//! eviction flushes the line from every core, with no sharer bits, and a
+//! run of a pattern plays its accesses one by one.
 
 use crate::cache::{CacheConfig, CacheStats};
 use crate::hierarchy::{AccessKind, AccessResult, HierarchyConfig, LatencyModel, MemStats};
@@ -150,101 +151,149 @@ impl RefCache {
     }
 }
 
+/// One core of [`RefHierarchy`]: its private levels and its counters.
 #[derive(Debug, Clone)]
-pub(crate) struct RefHierarchy {
+struct RefCore {
     l1d: RefCache,
     l2: RefCache,
-    llc: RefCache,
-    latency: LatencyModel,
+    /// The core's share of the LLC's counters.
+    llc: CacheStats,
     stats: MemStats,
 }
 
+/// Private L1d/L2 pairs over one LLC. An LLC eviction flushes the line
+/// from every core's L2 and L1d, and a core's LLC counters are the changes
+/// its own operations made to the LLC's.
+#[derive(Debug, Clone)]
+pub(crate) struct RefHierarchy {
+    cores: Vec<RefCore>,
+    llc: RefCache,
+    latency: LatencyModel,
+}
+
 impl RefHierarchy {
-    pub(crate) fn new(config: HierarchyConfig) -> Self {
+    pub(crate) fn new(config: HierarchyConfig, cores: usize) -> Self {
         Self {
-            l1d: RefCache::new(config.l1d),
-            l2: RefCache::new(config.l2),
+            cores: (0..cores)
+                .map(|_| RefCore {
+                    l1d: RefCache::new(config.l1d),
+                    l2: RefCache::new(config.l2),
+                    llc: CacheStats::default(),
+                    stats: MemStats::default(),
+                })
+                .collect(),
             llc: RefCache::new(config.llc),
             latency: config.latency,
-            stats: MemStats::default(),
         }
     }
 
-    pub(crate) fn access(&mut self, addr: u64, kind: AccessKind) -> AccessResult {
+    /// Runs `op` on the LLC and adds what it changed in the LLC's counters
+    /// to `core`'s share.
+    fn on_llc<R>(&mut self, core: usize, op: impl FnOnce(&mut RefCache) -> R) -> R {
+        let before = self.llc.stats();
+        let r = op(&mut self.llc);
+        let after = self.llc.stats();
+        let share = &mut self.cores[core].llc;
+        share.accesses += after.accesses - before.accesses;
+        share.hits += after.hits - before.hits;
+        share.misses += after.misses - before.misses;
+        share.evictions += after.evictions - before.evictions;
+        share.writebacks += after.writebacks - before.writebacks;
+        share.flushes += after.flushes - before.flushes;
+        r
+    }
+
+    pub(crate) fn access(&mut self, core: usize, addr: u64, kind: AccessKind) -> AccessResult {
         let write = kind.is_write();
         let lat = self.latency;
-        self.stats.accesses += 1;
         let result = |l1_hit, l2_hit, llc_hit, latency_cycles| AccessResult {
             l1_hit,
             l2_hit,
             llc_hit,
             latency_cycles,
         };
-        let r = if self.l1d.probe(addr, write) {
+        let r = if self.cores[core].l1d.probe(addr, write) {
             result(true, false, false, lat.l1_hit)
-        } else if self.l2.probe(addr, write) {
-            self.stats.l1d_misses += 1;
-            self.l1d.fill(addr, write);
+        } else if self.cores[core].l2.probe(addr, write) {
+            self.cores[core].l1d.fill(addr, write);
             result(false, true, false, lat.l2_hit)
-        } else if self.llc.probe(addr, write) {
-            self.stats.l1d_misses += 1;
-            self.stats.l2_misses += 1;
-            self.stats.llc_references += 1;
-            self.l2.fill(addr, write);
-            self.l1d.fill(addr, write);
+        } else if self.on_llc(core, |llc| llc.probe(addr, write)) {
+            self.cores[core].l2.fill(addr, write);
+            self.cores[core].l1d.fill(addr, write);
             result(false, false, true, lat.llc_hit)
         } else {
-            self.stats.l1d_misses += 1;
-            self.stats.l2_misses += 1;
-            self.stats.llc_references += 1;
-            self.stats.llc_misses += 1;
-            if let Some(victim) = self.llc.fill(addr, write) {
-                self.l2.flush_line(victim);
-                self.l1d.flush_line(victim);
+            if let Some(victim) = self.on_llc(core, |llc| llc.fill(addr, write)) {
+                for c in &mut self.cores {
+                    c.l2.flush_line(victim);
+                    c.l1d.flush_line(victim);
+                }
             }
-            self.l2.fill(addr, write);
-            self.l1d.fill(addr, write);
+            self.cores[core].l2.fill(addr, write);
+            self.cores[core].l1d.fill(addr, write);
             result(false, false, false, lat.memory)
         };
-        self.stats.total_latency_cycles += r.latency_cycles as u64;
+        let stats = &mut self.cores[core].stats;
+        stats.accesses += 1;
+        stats.l1d_misses += u64::from(!r.l1_hit);
+        stats.l2_misses += u64::from(!r.l1_hit && !r.l2_hit);
+        stats.llc_references += u64::from(!r.l1_hit && !r.l2_hit);
+        stats.llc_misses += u64::from(r.memory_access());
+        stats.total_latency_cycles += r.latency_cycles as u64;
         r
     }
 
-    pub(crate) fn run(&mut self, pattern: &AccessPattern) {
+    pub(crate) fn run(&mut self, core: usize, pattern: &AccessPattern) {
         for (addr, kind) in pattern.cursor() {
-            self.access(addr, kind);
+            self.access(core, addr, kind);
         }
     }
 
-    pub(crate) fn clflush(&mut self, addr: u64) {
-        self.l1d.flush_line(addr);
-        self.l2.flush_line(addr);
-        self.llc.flush_line(addr);
+    pub(crate) fn clflush(&mut self, core: usize, addr: u64) {
+        for c in &mut self.cores {
+            c.l1d.flush_line(addr);
+            c.l2.flush_line(addr);
+        }
+        self.on_llc(core, |llc| llc.flush_line(addr));
     }
 
     pub(crate) fn flush_all(&mut self) {
-        self.l1d.flush_all();
-        self.l2.flush_all();
-        self.llc.flush_all();
+        for c in &mut self.cores {
+            c.l1d.flush_all();
+            c.l2.flush_all();
+        }
+        self.on_llc(0, RefCache::flush_all);
     }
 
     pub(crate) fn is_cached(&self, addr: u64) -> bool {
-        self.l1d.contains(addr) || self.l2.contains(addr) || self.llc.contains(addr)
+        self.llc.contains(addr)
+            || self
+                .cores
+                .iter()
+                .any(|c| c.l1d.contains(addr) || c.l2.contains(addr))
     }
 
-    pub(crate) fn stats(&self) -> MemStats {
-        self.stats
+    /// Whether `core`'s L1d and L2 hold `addr`'s line.
+    pub(crate) fn holds(&self, core: usize, addr: u64) -> (bool, bool) {
+        let c = &self.cores[core];
+        (c.l1d.contains(addr), c.l2.contains(addr))
     }
 
-    pub(crate) fn level_stats(&self) -> (CacheStats, CacheStats, CacheStats) {
-        (self.l1d.stats(), self.l2.stats(), self.llc.stats())
+    pub(crate) fn stats(&self, core: usize) -> MemStats {
+        self.cores[core].stats
+    }
+
+    pub(crate) fn level_stats(&self, core: usize) -> (CacheStats, CacheStats, CacheStats) {
+        let c = &self.cores[core];
+        (c.l1d.stats(), c.l2.stats(), c.llc)
     }
 
     pub(crate) fn reset_stats(&mut self) {
-        self.stats = MemStats::default();
-        self.l1d.reset_stats();
-        self.l2.reset_stats();
-        self.llc.reset_stats();
+        for c in &mut self.cores {
+            c.stats = MemStats::default();
+            c.llc = CacheStats::default();
+            c.l1d.reset_stats();
+            c.l2.reset_stats();
+        }
     }
 }
 
@@ -254,31 +303,40 @@ mod tests {
     use super::*;
     use crate::{AccessPattern, Cache, Hierarchy};
 
-    /// One step of a random interleaving.
+    /// One step of a random interleaving; the first field of an access, a
+    /// run and a `clflush` is the core that issues it.
     #[derive(Debug, Clone, Copy)]
     enum Op {
-        Access(u64, AccessKind),
-        Run(AccessPattern),
-        Clflush(u64),
+        Access(usize, u64, AccessKind),
+        Run(usize, AccessPattern),
+        Clflush(usize, u64),
         FlushAll,
         ResetStats,
     }
 
-    /// Builds an op stream over three groups of `lines` candidate lines.
-    /// `stride` is the distance between two addresses in the same LLC set,
-    /// so the lines of one group compete for one LLC set (and one L2 and
-    /// one L1d set, which has `ways` ways). Half of the draws stay within a
-    /// group's first 12 lines, so inner levels hit too.
+    /// Builds an op stream over three groups of `lines` candidate lines,
+    /// each step issued by core `core % cores` of its draw. `stride` is the
+    /// distance between two addresses in the same LLC set, so the lines of
+    /// one group compete for one LLC set (and one L2 and one L1d set, which
+    /// has `ways` ways). Half of the draws stay within a group's first 12
+    /// lines, so inner levels hit too.
     ///
     /// A run draw plays a pattern starting at a candidate line, and five in
-    /// nine play it again: right away, or after an access to the next line
-    /// of its set, a `clflush` of its first line, a `flush_all` or a
-    /// `reset_stats`. Patterns that fill the L1d set exactly or overflow it
-    /// make repeats that miss.
-    fn ops(draws: &[(u32, u64, u64)], stride: u64, lines: u64, ways: u64) -> Vec<(Op, u64)> {
+    /// nine play it again on the same core: right away, or after an access
+    /// to the next line of its set, a `clflush` of its first line, a
+    /// `flush_all` or a `reset_stats`. The access and the `clflush` come
+    /// from the same core or from the next one. Patterns that fill the L1d
+    /// set exactly or overflow it make repeats that miss.
+    fn ops(
+        draws: &[(u32, u64, u64, usize)],
+        cores: usize,
+        stride: u64,
+        lines: u64,
+        ways: u64,
+    ) -> Vec<(Op, u64)> {
         draws
             .iter()
-            .flat_map(|&(op, pick, other)| {
+            .flat_map(|&(op, pick, other, core)| {
                 let line = |x: u64| {
                     let group = x % 3;
                     let k = (x / 3) % if x & (1 << 40) != 0 { 12 } else { lines };
@@ -286,19 +344,24 @@ mod tests {
                 };
                 let addr = line(pick);
                 let other = line(other);
+                let core = core % cores;
                 let op = match op {
-                    0..=49 => Op::Access(addr, AccessKind::Read),
-                    50..=74 => Op::Access(addr, AccessKind::Write),
-                    75..=81 => Op::Clflush(addr),
+                    0..=49 => Op::Access(core, addr, AccessKind::Read),
+                    50..=74 => Op::Access(core, addr, AccessKind::Write),
+                    75..=81 => Op::Clflush(core, addr),
                     82 => Op::ResetStats,
                     83 => Op::FlushAll,
                     _ => {
-                        let run = (Op::Run(pattern(pick, addr, stride, ways)), other);
+                        let run = (Op::Run(core, pattern(pick, addr, stride, ways)), other);
+                        let by = (core + (pick >> 30) as usize % 2) % cores;
                         let between = match (pick >> 24) % 9 {
                             0..=3 => return vec![run],
                             4 => vec![],
-                            5 => vec![(Op::Access(addr + ways * stride, AccessKind::Read), other)],
-                            6 => vec![(Op::Clflush(addr), other)],
+                            5 => {
+                                let next = addr + ways * stride;
+                                vec![(Op::Access(by, next, AccessKind::Read), other)]
+                            }
+                            6 => vec![(Op::Clflush(by, addr), other)],
                             7 => vec![(Op::FlushAll, other)],
                             _ => vec![(Op::ResetStats, other)],
                         };
@@ -344,30 +407,31 @@ mod tests {
         }
     }
 
-    /// Runs `ops` through both hierarchies, comparing every result,
-    /// statistic and residency after each step.
-    fn compare(config: HierarchyConfig, ops: &[(Op, u64)]) {
-        let mut fast = Hierarchy::new(config);
-        let mut oracle = RefHierarchy::new(config);
+    /// Runs `ops` through both hierarchies of `cores` cores, comparing
+    /// every result, and every core's statistics and residency, after each
+    /// step.
+    fn compare(config: HierarchyConfig, cores: usize, ops: &[(Op, u64)]) {
+        let mut fast = Hierarchy::with_cores(config, cores);
+        let mut oracle = RefHierarchy::new(config, cores);
         for (step, &(op, other)) in ops.iter().enumerate() {
             let mut touched = vec![other];
             match op {
-                Op::Access(addr, kind) => {
+                Op::Access(core, addr, kind) => {
                     assert_eq!(
-                        fast.access(addr, kind),
-                        oracle.access(addr, kind),
+                        fast.access_on(core, addr, kind),
+                        oracle.access(core, addr, kind),
                         "step {step}: {op:?}"
                     );
                     touched.push(addr);
                 }
-                Op::Run(pattern) => {
-                    fast.run(&pattern);
-                    oracle.run(&pattern);
+                Op::Run(core, pattern) => {
+                    fast.run_on(core, &pattern);
+                    oracle.run(core, &pattern);
                     touched.extend(pattern.cursor().map(|(addr, _)| addr));
                 }
-                Op::Clflush(addr) => {
-                    fast.clflush(addr);
-                    oracle.clflush(addr);
+                Op::Clflush(core, addr) => {
+                    fast.clflush_on(core, addr);
+                    oracle.clflush(core, addr);
                     touched.push(addr);
                 }
                 Op::FlushAll => {
@@ -379,16 +443,36 @@ mod tests {
                     oracle.reset_stats();
                 }
             }
-            assert_eq!(fast.level_stats(), oracle.level_stats(), "step {step}");
-            assert_eq!(fast.stats(), oracle.stats(), "step {step}");
+            for core in 0..cores {
+                let view = fast.core(core);
+                assert_eq!(
+                    view.level_stats(),
+                    oracle.level_stats(core),
+                    "step {step}: core {core}"
+                );
+                assert_eq!(view.stats(), oracle.stats(core), "step {step}: core {core}");
+                for &a in &touched {
+                    assert_eq!(fast.holds(core, a), oracle.holds(core, a), "step {step}");
+                }
+            }
             for a in touched {
                 assert_eq!(fast.is_cached(a), oracle.is_cached(a), "step {step}");
             }
         }
     }
 
-    fn draws() -> impl Strategy<Value = Vec<(u32, u64, u64)>> {
-        proptest::collection::vec((0u32..100, any::<u64>(), any::<u64>()), 1..1500)
+    fn draws() -> impl Strategy<Value = Vec<(u32, u64, u64, usize)>> {
+        proptest::collection::vec((0u32..100, any::<u64>(), any::<u64>(), 0usize..4), 1..1500)
+    }
+
+    /// Tiny: LLC 64 sets x 4 ways of 64 B; L1d 2 ways.
+    fn tiny_ops(draws: &[(u32, u64, u64, usize)], cores: usize) -> Vec<(Op, u64)> {
+        ops(draws, cores, 64 * 64, 24, 2)
+    }
+
+    /// i7-920: LLC 8192 sets x 16 ways of 64 B; L1d 8 ways.
+    fn i7_920_ops(draws: &[(u32, u64, u64, usize)], cores: usize) -> Vec<(Op, u64)> {
+        ops(draws, cores, 8192 * 64, 40, 8)
     }
 
     proptest! {
@@ -396,14 +480,22 @@ mod tests {
 
         #[test]
         fn tiny_matches_the_reference(draws in draws()) {
-            // Tiny LLC: 64 sets x 4 ways of 64 B; L1d 2 ways.
-            compare(HierarchyConfig::tiny(), &ops(&draws, 64 * 64, 24, 2));
+            compare(HierarchyConfig::tiny(), 1, &tiny_ops(&draws, 1));
         }
 
         #[test]
         fn i7_920_matches_the_reference(draws in draws()) {
-            // i7-920 LLC: 8192 sets x 16 ways of 64 B; L1d 8 ways.
-            compare(HierarchyConfig::i7_920(), &ops(&draws, 8192 * 64, 40, 8));
+            compare(HierarchyConfig::i7_920(), 1, &i7_920_ops(&draws, 1));
+        }
+
+        #[test]
+        fn two_tiny_cores_match_the_reference(draws in draws()) {
+            compare(HierarchyConfig::tiny(), 2, &tiny_ops(&draws, 2));
+        }
+
+        #[test]
+        fn four_i7_920_cores_match_the_reference(draws in draws()) {
+            compare(HierarchyConfig::i7_920(), 4, &i7_920_ops(&draws, 4));
         }
 
         #[test]
@@ -411,21 +503,21 @@ mod tests {
             let config = CacheConfig::new(64, 4, 4);
             let mut fast = Cache::new(config);
             let mut oracle = RefCache::new(config);
-            for (step, &(op, other)) in ops(&draws, 4 * 64, 12, 4).iter().enumerate() {
+            for (step, &(op, other)) in ops(&draws, 1, 4 * 64, 12, 4).iter().enumerate() {
                 // Even addresses access (and fill on a miss); odd ones probe.
                 // A run accesses every address of its pattern.
                 match op {
-                    Op::Access(addr, kind) if addr & 1 == 0 => assert_eq!(
+                    Op::Access(_, addr, kind) if addr & 1 == 0 => assert_eq!(
                         fast.access(addr, kind.is_write()),
                         oracle.access(addr, kind.is_write()),
                         "step {step}"
                     ),
-                    Op::Access(addr, kind) => assert_eq!(
+                    Op::Access(_, addr, kind) => assert_eq!(
                         fast.probe(addr, kind.is_write()),
                         oracle.probe(addr, kind.is_write()),
                         "step {step}"
                     ),
-                    Op::Run(pattern) => {
+                    Op::Run(_, pattern) => {
                         for (addr, kind) in pattern.cursor() {
                             assert_eq!(
                                 fast.access(addr, kind.is_write()),
@@ -434,7 +526,7 @@ mod tests {
                             );
                         }
                     }
-                    Op::Clflush(addr) => {
+                    Op::Clflush(_, addr) => {
                         assert_eq!(fast.flush_line(addr), oracle.flush_line(addr));
                     }
                     Op::FlushAll => {
@@ -460,6 +552,7 @@ mod tests {
         for config in [HierarchyConfig::tiny(), HierarchyConfig::i7_920()] {
             let stride = config.llc.sets as u64 * config.llc.line_size as u64;
             let ways = config.llc.ways as u64;
+            let access = |addr, kind| Op::Access(0, addr, kind);
             let mut ops = Vec::new();
             // Fill one LLC set (and the L1 and L2 sets it maps to) fully,
             // writing every third line so flushed and evicted ways differ
@@ -470,19 +563,19 @@ mod tests {
                 } else {
                     AccessKind::Read
                 };
-                ops.push((Op::Access(k * stride, kind), 0));
+                ops.push((access(k * stride, kind), 0));
             }
             // Flush a middle way, then keep missing into the set, re-touching
             // early lines so LRU order differs from fill order.
-            ops.push((Op::Clflush(ways / 2 * stride), 0));
+            ops.push((Op::Clflush(0, ways / 2 * stride), 0));
             for k in ways..3 * ways {
-                ops.push((Op::Access(k * stride, AccessKind::Read), 0));
-                ops.push((Op::Access((k % 3) * stride, AccessKind::Read), 0));
+                ops.push((access(k * stride, AccessKind::Read), 0));
+                ops.push((access((k % 3) * stride, AccessKind::Read), 0));
                 if k % 5 == 0 {
-                    ops.push((Op::Clflush((k - 2) * stride), (k - 1) * stride));
+                    ops.push((Op::Clflush(0, (k - 2) * stride), (k - 1) * stride));
                 }
             }
-            compare(config, &ops);
+            compare(config, 1, &ops);
         }
     }
 
@@ -507,7 +600,7 @@ mod tests {
             let full = set(ways, AccessKind::Read);
             let dirty = set(ways, AccessKind::Write);
             let next = ways * l1;
-            let run = |p| (Op::Run(p), next);
+            let run = |p| (Op::Run(0, p), next);
             let ops = [
                 // Cold, then hitting throughout (remembered), then repeated.
                 run(full),
@@ -516,11 +609,14 @@ mod tests {
                 (Op::ResetStats, 0),
                 run(full),
                 // The access evicts `full`'s oldest line.
-                (Op::Access(next, AccessKind::Read), 0),
+                (Op::Access(0, next, AccessKind::Read), 0),
                 run(full),
                 run(full),
-                (Op::Clflush(l1), 0),
+                (Op::Clflush(0, l1), 0),
                 run(full),
+                run(full),
+                // A line L1d does not hold leaves the remembered run.
+                (Op::Clflush(0, next), 0),
                 run(full),
                 (Op::FlushAll, 0),
                 run(full),
@@ -539,7 +635,136 @@ mod tests {
                 run(dirty),
                 run(set(ways + 1, AccessKind::Read)),
             ];
-            compare(config, &ops);
+            compare(config, 1, &ops);
+        }
+    }
+
+    /// Lines `stride` apart share an LLC set of `config`; `ways` of them
+    /// fill it.
+    fn llc_set(config: HierarchyConfig) -> (u64, u64) {
+        let stride = config.llc.sets as u64 * config.llc.line_size as u64;
+        (stride, config.llc.ways as u64)
+    }
+
+    /// Core 1 streams through the LLC set of a line core 0 holds in L1d,
+    /// L2 and the LLC: the LLC evicts the line, and core 0 loses it at
+    /// every level, so its next access goes to memory.
+    #[test]
+    fn one_core_s_streaming_evicts_another_core_s_line_at_every_level() {
+        for (config, cores) in [(HierarchyConfig::tiny(), 2), (HierarchyConfig::i7_920(), 4)] {
+            let (stride, ways) = llc_set(config);
+            let line = 0x40;
+            let mut fast = Hierarchy::with_cores(config, cores);
+            fast.access_on(0, line, AccessKind::Write);
+            assert_eq!(fast.holds(0, line), (true, true));
+            let mut ops = vec![(Op::Access(0, line, AccessKind::Write), line)];
+            for k in 1..=ways {
+                let streamed = line + k * stride;
+                fast.access_on(cores - 1, streamed, AccessKind::Read);
+                ops.push((Op::Access(cores - 1, streamed, AccessKind::Read), line));
+            }
+            assert_eq!(fast.holds(0, line), (false, false));
+            assert!(!fast.is_cached(line));
+            let (l1d, l2, _) = fast.core(0).level_stats();
+            // The dirty line left each private level as a flush with a
+            // writeback, which core 0's statistics carry.
+            assert_eq!((l1d.flushes, l1d.writebacks), (1, 1));
+            assert_eq!((l2.flushes, l2.writebacks), (1, 1));
+            let (_, _, llc) = fast.core(cores - 1).level_stats();
+            assert_eq!((llc.evictions, llc.writebacks), (1, 1));
+            assert!(fast.access_on(0, line, AccessKind::Read).memory_access());
+            ops.push((Op::Access(0, line, AccessKind::Read), line));
+            compare(config, cores, &ops);
+        }
+    }
+
+    /// The exactness trap of the remembered run: core 0 remembers a run
+    /// that hit L1d throughout, then core 1's fills evict one of its lines
+    /// from the LLC, which back-invalidates it in core 0's L1d. Core 0's
+    /// next run of the pattern must replay, and miss on that line.
+    #[test]
+    fn another_core_s_fill_ends_a_remembered_run() {
+        for (config, cores) in [(HierarchyConfig::tiny(), 2), (HierarchyConfig::i7_920(), 4)] {
+            let (stride, ways) = llc_set(config);
+            let pattern = AccessPattern::Sequential {
+                base: 0,
+                stride: 64,
+                count: 4,
+                kind: AccessKind::Read,
+            };
+            let mut ops = vec![(Op::Run(0, pattern), 0), (Op::Run(0, pattern), 0)];
+            for k in 1..=ways {
+                ops.push((Op::Access(1, k * stride, AccessKind::Read), 0));
+            }
+            ops.push((Op::Run(0, pattern), 0));
+            compare(config, cores, &ops);
+            let mut fast = Hierarchy::with_cores(config, cores);
+            for &(op, _) in &ops[..ops.len() - 1] {
+                match op {
+                    Op::Run(core, p) => fast.run_on(core, &p),
+                    Op::Access(core, addr, kind) => drop(fast.access_on(core, addr, kind)),
+                    _ => unreachable!(),
+                }
+            }
+            assert_eq!(fast.holds(0, 0), (false, false), "back-invalidated");
+            let misses = fast.core(0).stats().l1d_misses;
+            fast.run_on(0, &pattern);
+            assert_eq!(fast.core(0).stats().l1d_misses, misses + 1);
+        }
+    }
+
+    /// A sharer bit outlives the line in its core's own levels: core 0
+    /// loads a line, then evicts it from its L1d and L2 through their sets
+    /// without touching the line's LLC set. When core 1 then evicts the
+    /// line from the LLC, the back-invalidation of core 0 finds nothing:
+    /// it counts no flush there and leaves core 0's remembered run alone.
+    #[test]
+    fn a_stale_sharer_bit_is_harmless() {
+        for (config, cores) in [(HierarchyConfig::tiny(), 2), (HierarchyConfig::i7_920(), 4)] {
+            let (stride, ways) = llc_set(config);
+            // Lines `l2` apart share an L2 set (and an L1d set); a line
+            // `k * l2` away for k not a multiple of `stride / l2` lies in
+            // another LLC set.
+            let l2 = config.l2.sets as u64 * config.l2.line_size as u64;
+            let per_llc_set = stride / l2;
+            let line = 0x40;
+            let evictors = (1..)
+                .filter(|k| k % per_llc_set != 0)
+                .take(config.l2.ways as usize)
+                .map(|k| line + k * l2);
+            let remembered = AccessPattern::Single {
+                addr: line + 64,
+                kind: AccessKind::Read,
+            };
+            let mut ops = vec![(Op::Access(0, line, AccessKind::Read), line)];
+            ops.extend(evictors.map(|a| (Op::Access(0, a, AccessKind::Read), line)));
+            ops.push((Op::Run(0, remembered), line));
+            ops.push((Op::Run(0, remembered), line));
+            ops.push((Op::Access(1, line, AccessKind::Read), line));
+            for k in 1..=ways {
+                ops.push((Op::Access(1, line + k * stride, AccessKind::Read), line));
+            }
+            ops.push((Op::Run(0, remembered), line));
+            compare(config, cores, &ops);
+
+            let mut fast = Hierarchy::with_cores(config, cores);
+            for &(op, _) in &ops[..ops.len() - ways as usize - 2] {
+                match op {
+                    Op::Run(core, p) => fast.run_on(core, &p),
+                    Op::Access(core, addr, kind) => drop(fast.access_on(core, addr, kind)),
+                    _ => unreachable!(),
+                }
+            }
+            assert_eq!(fast.holds(0, line), (false, false), "silently evicted");
+            assert!(fast.is_cached(line), "still in the LLC, core 0's bit set");
+            let before = fast.core(0).level_stats();
+            fast.access_on(1, line, AccessKind::Read);
+            for k in 1..=ways {
+                fast.access_on(1, line + k * stride, AccessKind::Read);
+            }
+            assert!(!fast.is_cached(line));
+            assert_eq!(fast.core(0).level_stats(), before);
+            assert_eq!(fast.remembered(0), Some(remembered));
         }
     }
 }

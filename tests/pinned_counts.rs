@@ -8,7 +8,9 @@
 //! kernel-line touches (which evict the service's lines), and timed
 //! Flush+Reload probes. The two K-LEB runs that count kernel mode also pin
 //! what the kernel charges produce: the target's kernel CPU time and
-//! kernel events, and core 0's kernel-mode PMU ledger.
+//! kernel events, and core 0's kernel-mode PMU ledger. A two-core run pins
+//! what services on different cores do to each other through the shared
+//! LLC.
 
 use kleb::Monitor;
 use ksim::{
@@ -17,7 +19,7 @@ use ksim::{
 };
 use memsim::{AccessKind, AccessPattern};
 use pmu::{EventCounts, HwEvent, Privilege};
-use workloads::DockerImage;
+use workloads::{DockerImage, Synthetic};
 
 /// One line per process: name, user ns, then every non-zero user event.
 fn pinned(info: &ProcessInfo) -> String {
@@ -202,4 +204,37 @@ fn compute_only_program_under_kleb_has_pinned_counts() {
         pinned_kernel(&outcome.target, &m),
         "15951445 InstructionsRetired=38329859 CoreCycles=42590575 RefCycles=42590575 Load=9580963 Store=4790080 BranchRetired=7664625 | ledger InstructionsRetired=38334217 CoreCycles=42595419 RefCycles=42595419 Load=9685651 Store=4790623 BranchRetired=7665496 LlcReference=400 LlcMiss=400 L1dMiss=400 L2Miss=400"
     );
+}
+
+/// The co-location case study's four services at 300 blocks each, in its
+/// class-blind layout: on each of cores 0 and 1 a streamer and a
+/// cache-resident service, the two streamers with equal seeds. They meet
+/// only in the shared LLC (and DRAM), and their user lines stay apart.
+#[test]
+fn two_core_colocation_has_pinned_counts() {
+    let mut m = Machine::new(MachineConfig::i7_920(42 + 99));
+    let mut pids = Vec::new();
+    for core in 0..2 {
+        let streamer = Synthetic::new(300, 40_000, 50_000).memory_traffic(800, 64 << 20, 42);
+        let resident = Synthetic::new(300, 45_000, 50_000).memory_traffic(120, 2 << 20, 43);
+        pids.push(m.spawn("mem", CoreId(core), Box::new(streamer)));
+        pids.push(m.spawn("cpu", CoreId(core), Box::new(resident)));
+    }
+    m.run_to_quiescence();
+    let mut actual: Vec<String> = pids.iter().map(|&p| pinned(m.process(p))).collect();
+    for core in 0..2 {
+        let (l1d, l2, llc) = m.mem(CoreId(core)).level_stats();
+        actual.push(format!(
+            "core {core} | l1d {l1d:?} | l2 {l2:?} | llc {llc:?}"
+        ));
+    }
+    let expected = [
+        "mem 16528918 InstructionsRetired=12000000 CoreCycles=44132198 RefCycles=44132198 Load=240000 LlcReference=239112 LlcMiss=228724 L1dMiss=239876 L2Miss=239112",
+        "cpu 6565642 InstructionsRetired=13500000 CoreCycles=17530254 RefCycles=17530254 Load=36000 LlcReference=33456 LlcMiss=24335 L1dMiss=35445 L2Miss=33456",
+        "mem 17185054 InstructionsRetired=12000000 CoreCycles=45884092 RefCycles=45884092 Load=240000 LlcReference=239098 LlcMiss=228257 L1dMiss=239873 L2Miss=239098",
+        "cpu 6338672 InstructionsRetired=13500000 CoreCycles=16924264 RefCycles=16924264 Load=36000 LlcReference=33384 LlcMiss=24002 L1dMiss=35442 L2Miss=33384",
+        "core 0 | l1d CacheStats { accesses: 276000, hits: 679, misses: 275321, evictions: 274809, writebacks: 0, flushes: 0 } | l2 CacheStats { accesses: 275321, hits: 2753, misses: 272568, evictions: 268472, writebacks: 0, flushes: 0 } | llc CacheStats { accesses: 272568, hits: 19509, misses: 253059, evictions: 180912, writebacks: 0, flushes: 0 }",
+        "core 1 | l1d CacheStats { accesses: 276000, hits: 685, misses: 275315, evictions: 274803, writebacks: 0, flushes: 0 } | l2 CacheStats { accesses: 275315, hits: 2833, misses: 272482, evictions: 268386, writebacks: 0, flushes: 0 } | llc CacheStats { accesses: 272482, hits: 20223, misses: 252259, evictions: 193334, writebacks: 0, flushes: 0 }",
+    ];
+    assert_eq!(actual, expected);
 }

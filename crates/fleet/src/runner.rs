@@ -19,7 +19,7 @@
 
 use std::path::PathBuf;
 
-use kleb::{KlebTuning, Monitor, MonitorOutcome, Sample};
+use kleb::{KlebTuning, Monitor, MonitorOutcome, Sample, RECORD_BYTES};
 use ksim::{
     CoreId, Duration, Instant, Machine, MachineConfig, Pid, ProcessInfo, ProcessState, Workload,
 };
@@ -428,99 +428,115 @@ impl FleetOutcome {
     /// Replaying a recorded run must reproduce this byte-for-byte —
     /// that equality is the regression-testing contract.
     pub fn digest(&self) -> Vec<u8> {
-        fn u64s(out: &mut Vec<u8>, vals: &[u64]) {
-            for v in vals {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        let mut out = Vec::new();
-        u64s(&mut out, &[self.machines.len() as u64]);
+        let mut len = 0;
+        self.write_digest(&mut len);
+        let mut out = Vec::with_capacity(len);
+        self.write_digest(&mut out);
+        debug_assert_eq!(out.len(), len, "the sizing pass disagrees");
+        out
+    }
+
+    fn write_digest(&self, out: &mut impl DigestOut) {
+        let mut record = Vec::with_capacity(RECORD_BYTES);
+        out.u64s(&[self.machines.len() as u64]);
         for (index, report) in self.machines.iter().enumerate() {
-            out.extend_from_slice(report.label.as_bytes());
-            out.push(0);
-            u64s(
-                &mut out,
-                &[report.seed, report.outcome.samples.len() as u64],
-            );
+            out.bytes(report.label.as_bytes());
+            out.bytes(&[0]);
+            out.u64s(&[report.seed, report.outcome.samples.len() as u64]);
             for s in &report.outcome.samples {
-                s.encode_into(&mut out);
+                record.clear();
+                s.encode_into(&mut record);
+                out.bytes(&record);
             }
             for &e in &report.outcome.events {
-                out.push(e as u8);
+                out.bytes(&[e as u8]);
             }
             let st = &report.outcome.status;
-            u64s(
-                &mut out,
-                &[
-                    st.target_alive as u64,
-                    st.buffered,
-                    st.samples_taken,
-                    st.samples_dropped,
-                    st.pauses,
-                    st.paused as u64,
-                    st.period_ns,
-                ],
-            );
+            out.u64s(&[
+                st.target_alive as u64,
+                st.buffered,
+                st.samples_taken,
+                st.samples_dropped,
+                st.pauses,
+                st.paused as u64,
+                st.period_ns,
+            ]);
             let rec = &report.outcome.recovery;
-            u64s(
-                &mut out,
-                &[
-                    rec.drain_retries,
-                    rec.drains_abandoned,
-                    rec.kicks,
-                    rec.kicks_honoured,
-                    rec.period_doublings as u64,
-                    rec.degraded as u64,
-                ],
-            );
+            out.u64s(&[
+                rec.drain_retries,
+                rec.drains_abandoned,
+                rec.kicks,
+                rec.kicks_honoured,
+                rec.period_doublings as u64,
+                rec.degraded as u64,
+            ]);
             // The governor's ledger. All-zero both for ungoverned runs
             // and for governed runs that never saw pressure — which is
             // what keeps those two byte-identical here.
             let gov = &report.outcome.governor;
-            u64s(
-                &mut out,
-                &[
-                    u64::from(gov.retunes),
-                    u64::from(gov.acked),
-                    u64::from(gov.clamps),
-                    u64::from(gov.oscillations),
-                    gov.last_period_ns,
-                    gov.max_period_ns,
-                ],
-            );
+            out.u64s(&[
+                u64::from(gov.retunes),
+                u64::from(gov.acked),
+                u64::from(gov.clamps),
+                u64::from(gov.oscillations),
+                gov.last_period_ns,
+                gov.max_period_ns,
+            ]);
             // Supervision health: the counts and final breaker state are
             // persisted in the ledger and must survive record → replay.
             // Failure *messages* are deliberately excluded — they are not
             // reconstructible from a trace.
             if let Some(h) = self.health.get(index) {
-                u64s(
-                    &mut out,
-                    &[
-                        u64::from(h.restarts),
-                        u64::from(h.failure_count),
-                        u64::from(h.breaker_trips),
-                        u64::from(h.breaker_state.tag()),
-                        u64::from(h.failed),
-                    ],
-                );
+                out.u64s(&[
+                    u64::from(h.restarts),
+                    u64::from(h.failure_count),
+                    u64::from(h.breaker_trips),
+                    u64::from(h.breaker_state.tag()),
+                    u64::from(h.failed),
+                ]);
             }
         }
         for machine in 0..self.machines.len() {
-            for lane in self.store.machine_snapshot(machine) {
-                u64s(&mut out, &[lane.len() as u64]);
-                for p in lane {
-                    u64s(&mut out, &[p.timestamp_ns, p.delta]);
+            for lane in self.store.all_lanes() {
+                out.u64s(&[self.store.lane_len(machine, lane) as u64]);
+                for p in self.store.points(machine, lane) {
+                    out.u64s(&[p.timestamp_ns, p.delta]);
                 }
             }
         }
-        u64s(&mut out, &self.channel.sent);
-        u64s(&mut out, &self.channel.dropped);
-        u64s(&mut out, &self.channel.delivered);
+        out.u64s(&self.channel.sent);
+        out.u64s(&self.channel.dropped);
+        out.u64s(&self.channel.delivered);
         // Two zero words per machine where a host-clock stall watchdog
         // once wrote its stall and resume counts: they keep the byte
         // layout that recorded digest references pin.
-        u64s(&mut out, &vec![0; 2 * self.machines.len()]);
-        out
+        for _ in 0..2 * self.machines.len() {
+            out.u64s(&[0]);
+        }
+    }
+}
+
+/// Where [`FleetOutcome::digest`] writes: the digest's bytes, or a byte
+/// count that sizes them first, so the digest allocates once.
+trait DigestOut {
+    fn bytes(&mut self, bytes: &[u8]);
+
+    fn u64s(&mut self, vals: &[u64]) {
+        for v in vals {
+            self.bytes(&v.to_le_bytes());
+        }
+    }
+}
+
+impl DigestOut for Vec<u8> {
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+impl DigestOut for usize {
+    fn bytes(&mut self, bytes: &[u8]) {
+        *self += bytes.len();
     }
 }
 
@@ -1013,12 +1029,13 @@ mod tests {
                 store.ingest(index, batch);
             }
             sent.push(batches.iter().map(|b| b.len() as u64).sum::<u64>());
-            outcomes.push(outcome);
+            outcomes.push((outcome, batches.concat()));
         }
 
         let fleet = FleetRunner::new(config).run(specs).unwrap();
-        for (m, (report, reference)) in fleet.machines.iter().zip(&outcomes).enumerate() {
-            assert_eq!(report.outcome.samples, reference.samples, "machine {m}");
+        for (m, (report, (reference, samples))) in fleet.machines.iter().zip(&outcomes).enumerate()
+        {
+            assert_eq!(&report.outcome.samples, samples, "machine {m}");
             assert_eq!(report.outcome.status, reference.status, "machine {m}");
             assert_eq!(report.outcome.recovery, reference.recovery, "machine {m}");
             assert_eq!(
@@ -1138,5 +1155,59 @@ mod tests {
             assert_eq!(ledger.recovery, report.outcome.recovery);
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `spec(0)` panics on a fifth of its timer fires and recovers on a
+    /// restart; `spec(2)` panics on every fire and is lost.
+    fn panicky_tiny(seed: u64) -> MachineConfig {
+        let mut config = MachineConfig::test_tiny(seed);
+        config.faults = match seed {
+            40 => ksim::FaultPlan::thread_panic(0.2),
+            42 => ksim::FaultPlan::thread_panic(1.0),
+            _ => ksim::FaultPlan::NONE,
+        };
+        config
+    }
+
+    #[test]
+    fn digest_allocates_exactly_its_precomputed_length() {
+        let governed = quick_config()
+            .faults(ksim::FaultPlan::ring_pressure(0.5))
+            .drain_interval(Duration::from_millis(1))
+            .govern(GovernorPolicy::new())
+            .build();
+        // Each run, and what shows it exercised its case.
+        type Exercised = fn(&FleetOutcome) -> bool;
+        let runs: [(&str, FleetConfig, Exercised); 4] = [
+            ("clean", quick_config().build(), FleetOutcome::all_healthy),
+            (
+                "chaotic",
+                quick_config().faults(ksim::FaultPlan::chaos(0.2)).build(),
+                |o| {
+                    o.machines
+                        .iter()
+                        .any(|m| m.outcome.status.samples_dropped > 0)
+                },
+            ),
+            (
+                "supervised",
+                quick_config().machine(panicky_tiny).build(),
+                |o| o.health[0].restarts > 0 && !o.health[0].failed && o.health[2].failed,
+            ),
+            ("governed", governed, |o| {
+                o.governors.iter().any(|g| g.stats.retunes > 0)
+            }),
+        ];
+        for (name, config, exercised) in runs {
+            let outcome = FleetRunner::new(config)
+                .run((0..4).map(spec).collect())
+                .unwrap();
+            assert!(exercised(&outcome), "the {name} run missed its case");
+            let mut len = 0;
+            outcome.write_digest(&mut len);
+            let digest = outcome.digest();
+            assert_eq!(digest.len(), len, "{name}");
+            assert_eq!(digest.capacity(), digest.len(), "{name}: one allocation");
+        }
     }
 }

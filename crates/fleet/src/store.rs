@@ -1,25 +1,28 @@
-//! Sharded, append-only time-series store for fleet sample streams.
+//! Columnar, append-only time-series store for fleet sample streams.
 //!
-//! Layout mirrors how queries read: one ring shard per
-//! **machine × counter lane** (three fixed counters plus one lane per
-//! programmed event), each a fixed-capacity ring of
-//! `(timestamp, delta)` points. Appends are O(1); when a shard fills,
-//! the oldest point is evicted and counted — the store bounds memory the
-//! way K-LEB's kernel ring bounds its buffer, but visibly.
+//! Layout mirrors how queries read: each machine keeps one column of
+//! sample timestamps and, per **counter lane** (three fixed counters plus
+//! one lane per programmed event), one column of prefix sums. A point's
+//! delta is the difference of two neighbouring prefix sums, so a sample
+//! costs one word per lane plus its timestamp. Appends are O(1); when a
+//! machine's columns fill, the oldest sample is evicted from every
+//! column at once and counted — the store bounds memory the way K-LEB's
+//! kernel ring bounds its buffer, but visibly.
 //!
-//! Windowed aggregation is incremental, not a scan: each shard keeps a
-//! prefix-sum array parallel to its ring (maintained O(1) per append,
-//! eviction included) and exploits per-shard timestamp monotonicity to
-//! binary-search window bounds, so `window_sum` / `window_rate` /
-//! `window_mpki` are O(log n) in the shard size.
+//! Windowed aggregation is incremental, not a scan: per-machine
+//! timestamps are monotone, so a window's bounds are two binary searches
+//! over the timestamp column and `window_sum` / `window_rate` /
+//! `window_mpki` are O(log n) in the machine's retained samples.
 //!
 //! Invariants (property-tested in `tests/store_props.rs`):
 //! - below capacity, every accepted sample is retained in full;
-//! - per-shard timestamps are non-decreasing — out-of-order samples are
-//!   rejected whole, never partially applied;
+//! - per-machine timestamps are non-decreasing — out-of-order samples
+//!   are rejected whole, never partially applied;
 //! - `appended + rejected` equals samples offered.
 
-use pmu::HwEvent;
+use std::collections::VecDeque;
+
+use pmu::{HwEvent, NUM_FIXED};
 
 /// One counter lane of a machine's sample stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,83 +74,76 @@ impl Window {
     }
 }
 
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct Shard {
-    // Ring as (start, Vec) would complicate equality; a VecDeque keeps
-    // append O(1) and iteration in time order.
-    ring: std::collections::VecDeque<Point>,
-    /// Prefix sums, parallel to `ring`: `cum[i]` is the wrapping sum of
-    /// every delta ever appended to this shard up to and including
-    /// `ring[i]` — eviction pops the front of both without touching the
-    /// survivors, keeping appends O(1). Any window sum is then one
-    /// subtraction: `prefix(hi) - prefix(lo)`.
-    cum: std::collections::VecDeque<u64>,
-    /// The prefix sum just before `ring[0]`: the wrapping sum of every
-    /// evicted delta.
-    cum_base: u64,
+/// One machine's retained samples: a sample is accepted, rejected and
+/// evicted whole, in every column at once.
+#[derive(Debug, Clone)]
+struct Columns {
+    /// Sample timestamps, non-decreasing.
+    ts: VecDeque<u64>,
+    /// Per lane, one entry more than `ts`: `cum[lane][i]` is the wrapping
+    /// sum of every delta ever appended to the lane before sample `i`.
+    /// The first entry sums every evicted delta, so eviction pops the
+    /// front without touching the survivors, and the sum over samples
+    /// `lo..hi` is one subtraction: `cum[lane][hi] - cum[lane][lo]`.
+    cum: Vec<VecDeque<u64>>,
+    /// Samples evicted from the front.
     evicted: u64,
 }
 
-impl Shard {
-    /// The half-open index range of points inside `window`.
-    ///
-    /// Per-shard timestamps are non-decreasing (out-of-order samples are
-    /// rejected whole at ingest), so both bounds are binary searches:
-    /// O(log n) where the old linear filter was O(n).
+impl Columns {
+    /// The half-open index range of samples inside `window`.
     fn bounds(&self, window: Window) -> (usize, usize) {
-        let lo = self
-            .ring
-            .partition_point(|p| p.timestamp_ns < window.start_ns);
-        let hi = self
-            .ring
-            .partition_point(|p| p.timestamp_ns < window.end_ns);
+        let lo = self.ts.partition_point(|&t| t < window.start_ns);
+        let hi = self.ts.partition_point(|&t| t < window.end_ns);
         (lo, hi)
     }
 
-    /// Wrapping sum of every delta ever appended before index `i`.
-    fn prefix(&self, i: usize) -> u64 {
-        if i == 0 {
-            self.cum_base
-        } else {
-            self.cum[i - 1]
-        }
+    /// Sum of `lane`'s deltas over samples `lo..hi`.
+    fn range_sum(&self, lane: usize, lo: usize, hi: usize) -> u64 {
+        self.cum[lane][hi].wrapping_sub(self.cum[lane][lo])
     }
 
-    /// Sum of `ring[lo..hi]` deltas, O(1) from the prefix array.
-    fn range_sum(&self, lo: usize, hi: usize) -> u64 {
-        self.prefix(hi).wrapping_sub(self.prefix(lo))
+    /// `lane`'s points for samples `lo..hi`, oldest first.
+    fn points(&self, lane: usize, lo: usize, hi: usize) -> impl Iterator<Item = Point> + '_ {
+        let cum = &self.cum[lane];
+        let sums = cum.range(lo..hi).zip(cum.range(lo + 1..=hi));
+        self.ts
+            .range(lo..hi)
+            .zip(sums)
+            .map(|(&timestamp_ns, (before, after))| Point {
+                timestamp_ns,
+                delta: after.wrapping_sub(*before),
+            })
     }
 }
 
 /// Per-store counter totals.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
-    /// Samples accepted (each fans out to every lane shard).
+    /// Samples accepted (each fans out to every lane).
     pub appended: u64,
     /// Samples rejected for violating timestamp monotonicity.
     pub rejected: u64,
-    /// Points evicted from full shards (across all shards).
+    /// Points evicted (one per lane for each evicted sample).
     pub evicted_points: u64,
 }
 
-/// All shards of one machine, extractable for bit-exact comparison.
+/// All lanes of one machine, extractable for bit-exact comparison.
 pub type MachineSnapshot = Vec<Vec<Point>>;
 
 /// The fleet-wide sample store.
 #[derive(Debug, Clone)]
 pub struct FleetStore {
-    machines: usize,
     events: Vec<HwEvent>,
     shard_capacity: usize,
-    shards: Vec<Shard>,
-    last_ts: Vec<Option<u64>>,
+    machines: Vec<Columns>,
     stats: StoreStats,
 }
 
 impl FleetStore {
     /// A store for `machines` streams whose samples carry `events` on the
-    /// programmable counters, each shard bounded to `shard_capacity`
-    /// points.
+    /// programmable counters, each machine bounded to `shard_capacity`
+    /// samples.
     ///
     /// # Panics
     ///
@@ -155,20 +151,22 @@ impl FleetStore {
     pub fn new(machines: usize, events: Vec<HwEvent>, shard_capacity: usize) -> Self {
         assert!(machines > 0, "need at least one machine");
         assert!(shard_capacity > 0, "shards must hold at least one point");
-        let lanes = 3 + events.len();
+        let columns = Columns {
+            ts: VecDeque::new(),
+            cum: vec![VecDeque::from([0]); NUM_FIXED + events.len()],
+            evicted: 0,
+        };
         Self {
-            machines,
             events,
             shard_capacity,
-            shards: vec![Shard::default(); machines * lanes],
-            last_ts: vec![None; machines],
+            machines: vec![columns; machines],
             stats: StoreStats::default(),
         }
     }
 
     /// Number of machine streams.
     pub fn machines(&self) -> usize {
-        self.machines
+        self.machines.len()
     }
 
     /// The programmed events, in `Lane::Pmc` index order.
@@ -176,7 +174,7 @@ impl FleetStore {
         &self.events
     }
 
-    /// Per-shard point capacity.
+    /// Per-lane point capacity: samples retained per machine.
     pub fn shard_capacity(&self) -> usize {
         self.shard_capacity
     }
@@ -186,26 +184,22 @@ impl FleetStore {
         self.events.iter().position(|&e| e == event).map(Lane::Pmc)
     }
 
-    fn lanes(&self) -> usize {
-        3 + self.events.len()
-    }
-
     fn lane_index(&self, lane: Lane) -> usize {
         match lane {
             Lane::Fixed(i) => {
-                assert!(i < 3, "fixed lanes are 0..3");
+                assert!(i < NUM_FIXED, "fixed lanes are 0..3");
                 i
             }
             Lane::Pmc(i) => {
                 assert!(i < self.events.len(), "pmc lane {i} not configured");
-                3 + i
+                NUM_FIXED + i
             }
         }
     }
 
-    fn shard_index(&self, machine: usize, lane: Lane) -> usize {
-        assert!(machine < self.machines, "machine {machine} out of range");
-        machine * self.lanes() + self.lane_index(lane)
+    /// One machine's columns and the column index of `lane`.
+    fn column(&self, machine: usize, lane: Lane) -> (&Columns, usize) {
+        (&self.machines[machine], self.lane_index(lane))
     }
 
     /// Appends a batch of samples from `machine`.
@@ -214,55 +208,43 @@ impl FleetStore {
     /// timestamp precedes the machine's last accepted one is rejected
     /// whole. Returns `(accepted, rejected)` counts.
     pub fn ingest(&mut self, machine: usize, samples: &[kleb::Sample]) -> (u64, u64) {
-        let mut accepted = 0;
-        let mut rejected = 0;
+        let pmcs = self.events.len();
+        let columns = &mut self.machines[machine];
+        let (mut accepted, mut rejected, mut evicted) = (0, 0, 0);
         for s in samples {
-            if self.last_ts[machine].is_some_and(|last| s.timestamp_ns < last) {
+            if columns.ts.back().is_some_and(|&last| s.timestamp_ns < last) {
                 rejected += 1;
                 continue;
             }
-            self.last_ts[machine] = Some(s.timestamp_ns);
-            for f in 0..3 {
-                self.push(machine, Lane::Fixed(f), s.timestamp_ns, s.fixed[f]);
+            if columns.ts.len() == self.shard_capacity {
+                columns.ts.pop_front();
+                for cum in &mut columns.cum {
+                    cum.pop_front();
+                }
+                columns.evicted += 1;
+                evicted += columns.cum.len() as u64;
             }
-            for e in 0..self.events.len() {
-                self.push(machine, Lane::Pmc(e), s.timestamp_ns, s.pmc[e]);
+            columns.ts.push_back(s.timestamp_ns);
+            let deltas = s.fixed.iter().chain(&s.pmc[..pmcs]);
+            for (cum, &delta) in columns.cum.iter_mut().zip(deltas) {
+                let last = cum.back().copied().unwrap_or_default();
+                cum.push_back(last.wrapping_add(delta));
             }
             accepted += 1;
         }
         self.stats.appended += accepted;
         self.stats.rejected += rejected;
+        self.stats.evicted_points += evicted;
         (accepted, rejected)
     }
 
-    fn push(&mut self, machine: usize, lane: Lane, timestamp_ns: u64, delta: u64) {
-        let cap = self.shard_capacity;
-        let idx = self.shard_index(machine, lane);
-        let shard = &mut self.shards[idx];
-        if shard.ring.len() == cap {
-            shard.ring.pop_front();
-            // The evicted point's cumulative becomes the new base, so
-            // surviving prefix sums keep their absolute values.
-            if let Some(front) = shard.cum.pop_front() {
-                shard.cum_base = front;
-            }
-            shard.evicted += 1;
-            self.stats.evicted_points += 1;
-        }
-        let last = shard.cum.back().copied().unwrap_or(shard.cum_base);
-        shard.cum.push_back(last.wrapping_add(delta));
-        shard.ring.push_back(Point {
-            timestamp_ns,
-            delta,
-        });
+    /// The retained points of one lane, oldest first.
+    pub fn points(&self, machine: usize, lane: Lane) -> impl Iterator<Item = Point> + '_ {
+        let (columns, lane) = self.column(machine, lane);
+        columns.points(lane, 0, columns.ts.len())
     }
 
-    /// The retained points of one shard, oldest first.
-    pub fn points(&self, machine: usize, lane: Lane) -> impl Iterator<Item = &Point> {
-        self.shards[self.shard_index(machine, lane)].ring.iter()
-    }
-
-    /// Points of one shard restricted to a window, oldest first. The
+    /// Points of one lane restricted to a window, oldest first. The
     /// bounds come from a binary search, not a scan: the iterator starts
     /// at the window's first point.
     pub fn window_points(
@@ -270,15 +252,15 @@ impl FleetStore {
         machine: usize,
         lane: Lane,
         window: Window,
-    ) -> impl Iterator<Item = &Point> {
-        let shard = &self.shards[self.shard_index(machine, lane)];
-        let (lo, hi) = shard.bounds(window);
-        shard.ring.range(lo..hi)
+    ) -> impl Iterator<Item = Point> + '_ {
+        let (columns, lane) = self.column(machine, lane);
+        let (lo, hi) = columns.bounds(window);
+        columns.points(lane, lo, hi)
     }
 
-    /// Points evicted from one shard since creation.
+    /// Points evicted from one lane since creation.
     pub fn evicted(&self, machine: usize, lane: Lane) -> u64 {
-        self.shards[self.shard_index(machine, lane)].evicted
+        self.column(machine, lane).0.evicted
     }
 
     /// Store-wide counter totals.
@@ -286,38 +268,38 @@ impl FleetStore {
         self.stats
     }
 
-    /// Sum of deltas in a window of one shard: two binary searches and
+    /// Sum of deltas in a window of one lane: two binary searches and
     /// one subtraction of prefix sums — O(log n), never a scan.
     pub fn window_sum(&self, machine: usize, lane: Lane, window: Window) -> u64 {
-        let shard = &self.shards[self.shard_index(machine, lane)];
-        let (lo, hi) = shard.bounds(window);
-        shard.range_sum(lo, hi)
+        let (columns, lane) = self.column(machine, lane);
+        let (lo, hi) = columns.bounds(window);
+        columns.range_sum(lane, lo, hi)
     }
 
-    /// Events per second over a window of one shard, from the covered
+    /// Events per second over a window of one lane, from the covered
     /// points' own time span. Zero with fewer than two points.
     ///
-    /// O(log n): the span comes from the window's two endpoint points,
-    /// the numerator from the prefix sums — no intermediate collection.
+    /// O(log n): the span comes from the window's two endpoint
+    /// timestamps, the numerator from the prefix sums.
     pub fn window_rate(&self, machine: usize, lane: Lane, window: Window) -> f64 {
-        let shard = &self.shards[self.shard_index(machine, lane)];
-        let (lo, hi) = shard.bounds(window);
+        let (columns, lane) = self.column(machine, lane);
+        let (lo, hi) = columns.bounds(window);
         if hi - lo < 2 {
             return 0.0;
         }
-        let (first, last) = (&shard.ring[lo], &shard.ring[hi - 1]);
-        if last.timestamp_ns <= first.timestamp_ns {
+        let (first, last) = (columns.ts[lo], columns.ts[hi - 1]);
+        if last <= first {
             return 0.0;
         }
-        let span_s = (last.timestamp_ns - first.timestamp_ns) as f64 / 1e9;
-        shard.range_sum(lo, hi) as f64 / span_s
+        let span_s = (last - first) as f64 / 1e9;
+        columns.range_sum(lane, lo, hi) as f64 / span_s
     }
 
     /// The `p`-th percentile of per-sample deltas in a window of one
-    /// shard (via `analysis::stats`). Zero on an empty window.
+    /// lane (via `analysis::stats`). Zero on an empty window.
     ///
     /// Collects the window's deltas once, straight into the `f64` buffer
-    /// the percentile needs — no intermediate `Vec<&Point>`.
+    /// the percentile needs.
     pub fn window_percentile(&self, machine: usize, lane: Lane, window: Window, p: f64) -> f64 {
         let deltas: Vec<f64> = self
             .window_points(machine, lane, window)
@@ -340,14 +322,14 @@ impl FleetStore {
 
     /// Sum of a lane's deltas in a window across every machine.
     pub fn fleet_window_sum(&self, lane: Lane, window: Window) -> u64 {
-        (0..self.machines)
+        (0..self.machines.len())
             .map(|m| self.window_sum(m, lane, window))
             .sum()
     }
 
-    /// Retained points in one shard.
+    /// Retained points in one lane.
     pub fn lane_len(&self, machine: usize, lane: Lane) -> usize {
-        self.shards[self.shard_index(machine, lane)].ring.len()
+        self.column(machine, lane).0.ts.len()
     }
 
     /// Per-sample MPKI stream for one machine, sample order — the
@@ -365,14 +347,19 @@ impl FleetStore {
         self.mpki_iter(machine, miss_lane).collect()
     }
 
+    /// Every lane, in snapshot and digest order: the fixed lanes, then
+    /// the programmed events.
+    pub(crate) fn all_lanes(&self) -> impl Iterator<Item = Lane> {
+        (0..NUM_FIXED)
+            .map(Lane::Fixed)
+            .chain((0..self.events.len()).map(Lane::Pmc))
+    }
+
     /// Every retained point of one machine, lane-major — bit-exact
     /// equality of two snapshots proves bit-exact streams.
     pub fn machine_snapshot(&self, machine: usize) -> MachineSnapshot {
-        let mut lanes: Vec<Lane> = (0..3).map(Lane::Fixed).collect();
-        lanes.extend((0..self.events.len()).map(Lane::Pmc));
-        lanes
-            .into_iter()
-            .map(|lane| self.points(machine, lane).copied().collect())
+        self.all_lanes()
+            .map(|lane| self.points(machine, lane).collect())
             .collect()
     }
 }

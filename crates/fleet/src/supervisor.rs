@@ -354,7 +354,8 @@ pub(crate) struct StreamProgress {
     /// incarnation resumes from `seq + 1` on this time base.
     pub last: Option<(u64, u64)>,
     /// Every sample forwarded to the collector, across all attempts —
-    /// what the trace holds and what a replay will reproduce.
+    /// what the trace holds, what a replay will reproduce, and the only
+    /// copy the machine's report carries.
     pub forwarded: Vec<Sample>,
     /// The last period the rate governor retuned to, if any: a restarted
     /// incarnation resumes here rather than snapping back to the
@@ -586,20 +587,18 @@ pub(crate) fn supervise_machine(task: MachineTask) -> SupervisedRun {
             health.failure_count = health.failure_count.saturating_add(1);
         }
     }
+    // The sink was the attempts' only way out for samples, so the
+    // report's samples are what the collector (and the trace) received:
+    // the union across all attempts.
     let report = match outcome {
-        Some(mut done) => {
-            if restarts > 0 {
-                // The report's samples must be what the collector (and
-                // the trace) actually received: the union across all
-                // attempts, not just the final incarnation's.
-                done.samples = forwarded;
-            }
-            MachineReport {
-                label,
-                seed,
-                outcome: done,
-            }
-        }
+        Some(done) => MachineReport {
+            label,
+            seed,
+            outcome: MonitorOutcome {
+                samples: forwarded,
+                ..done
+            },
+        },
         None => outline_report(&label, seed, meta.events, forwarded),
     };
     SupervisedRun { report, health }

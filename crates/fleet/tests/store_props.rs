@@ -1,14 +1,17 @@
 //! Property tests of the fleet store and fan-in accounting invariants.
 //!
 //! These pin the three contracts DESIGN.md promises:
-//! 1. below shard capacity, no accepted sample is ever lost;
-//! 2. per-shard timestamps are non-decreasing no matter the input order;
+//! 1. below capacity, no accepted sample is ever lost;
+//! 2. per-lane timestamps are non-decreasing no matter the input order;
 //! 3. under `DropNewest`, per-stream `sent == delivered + dropped` once
 //!    the rings are drained — every sample is accounted exactly once.
+//!
+//! A fourth property checks the columnar store against [`Model`], a
+//! naive per-lane store, with capacities small enough to force eviction.
 
 use std::time::Duration;
 
-use fleet::{ring_fanin, Backpressure, FleetStore, Lane, Polled, Window};
+use fleet::{ring_fanin, Backpressure, FleetStore, Lane, Point, Polled, StoreStats, Window};
 use kleb::Sample;
 use pmu::HwEvent;
 use proptest::prelude::*;
@@ -42,6 +45,195 @@ fn arb_ordered_batch(max_len: usize) -> impl Strategy<Value = Vec<Sample>> {
 fn arb_unordered_batch(max_len: usize) -> impl Strategy<Value = Vec<Sample>> {
     proptest::collection::vec((0u64..10_000, 0u64..1_000_000), 0..max_len)
         .prop_map(|raw| raw.into_iter().map(|(t, p)| sample(t, p)).collect())
+}
+
+const LANES: [Lane; 5] = [
+    Lane::Fixed(0),
+    Lane::Fixed(1),
+    Lane::Fixed(2),
+    Lane::Pmc(0),
+    Lane::Pmc(1),
+];
+
+/// The store as the simplest thing that could hold it: per machine and
+/// lane, a `Vec` of points. A full lane drops its front point; a sample
+/// earlier than its machine's last accepted one is rejected whole.
+struct Model {
+    capacity: usize,
+    /// `lanes[machine][lane]`, in [`LANES`] order.
+    lanes: Vec<Vec<Vec<Point>>>,
+    /// `evicted[machine][lane]`, in [`LANES`] order.
+    evicted: Vec<Vec<u64>>,
+    last: Vec<Option<u64>>,
+    stats: StoreStats,
+}
+
+impl Model {
+    fn new(machines: usize, capacity: usize) -> Self {
+        Self {
+            capacity,
+            lanes: vec![vec![Vec::new(); LANES.len()]; machines],
+            evicted: vec![vec![0; LANES.len()]; machines],
+            last: vec![None; machines],
+            stats: StoreStats::default(),
+        }
+    }
+
+    fn ingest(&mut self, machine: usize, samples: &[Sample]) -> (u64, u64) {
+        let (mut accepted, mut rejected) = (0, 0);
+        for s in samples {
+            if self.last[machine].is_some_and(|last| s.timestamp_ns < last) {
+                rejected += 1;
+                continue;
+            }
+            self.last[machine] = Some(s.timestamp_ns);
+            let deltas = [s.fixed[0], s.fixed[1], s.fixed[2], s.pmc[0], s.pmc[1]];
+            for (lane, delta) in deltas.into_iter().enumerate() {
+                let points = &mut self.lanes[machine][lane];
+                if points.len() == self.capacity {
+                    points.remove(0);
+                    self.evicted[machine][lane] += 1;
+                    self.stats.evicted_points += 1;
+                }
+                points.push(Point {
+                    timestamp_ns: s.timestamp_ns,
+                    delta,
+                });
+            }
+            accepted += 1;
+        }
+        self.stats.appended += accepted;
+        self.stats.rejected += rejected;
+        (accepted, rejected)
+    }
+
+    fn index(lane: Lane) -> usize {
+        LANES.iter().position(|&l| l == lane).unwrap()
+    }
+
+    fn lane(&self, machine: usize, lane: Lane) -> &[Point] {
+        &self.lanes[machine][Self::index(lane)]
+    }
+
+    fn window(&self, machine: usize, lane: Lane, window: Window) -> Vec<Point> {
+        self.lane(machine, lane)
+            .iter()
+            .copied()
+            .filter(|p| window.contains(p.timestamp_ns))
+            .collect()
+    }
+
+    fn window_sum(&self, machine: usize, lane: Lane, window: Window) -> u64 {
+        self.window(machine, lane, window)
+            .iter()
+            .fold(0, |sum, p| sum.wrapping_add(p.delta))
+    }
+
+    fn window_rate(&self, machine: usize, lane: Lane, window: Window) -> f64 {
+        let points = self.window(machine, lane, window);
+        match (points.first(), points.last()) {
+            (Some(first), Some(last))
+                if points.len() >= 2 && last.timestamp_ns > first.timestamp_ns =>
+            {
+                let span_s = (last.timestamp_ns - first.timestamp_ns) as f64 / 1e9;
+                self.window_sum(machine, lane, window) as f64 / span_s
+            }
+            _ => 0.0,
+        }
+    }
+}
+
+proptest! {
+    // Cheap cases, and the model covers the most code: run many.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The columnar store answers every query as the naive model does,
+    /// through eviction, rejection and wrapping sums.
+    #[test]
+    fn columns_match_a_naive_per_lane_model(
+        batches in proptest::collection::vec(
+            (0usize..2, proptest::collection::vec((0u64..400, any::<u64>()), 0..12)),
+            1..12,
+        ),
+        capacity in 1usize..9,
+        windows in proptest::collection::vec((0u64..500, 0u64..500), 1..6),
+    ) {
+        let events = vec![HwEvent::LlcReference, HwEvent::LlcMiss];
+        let mut store = FleetStore::new(2, events, capacity);
+        let mut model = Model::new(2, capacity);
+        for (machine, raw) in &batches {
+            let batch: Vec<Sample> = raw.iter().map(|&(t, p)| sample(t, p)).collect();
+            prop_assert_eq!(
+                store.ingest(*machine, &batch),
+                model.ingest(*machine, &batch)
+            );
+        }
+        prop_assert_eq!(store.stats(), model.stats);
+        let mut windows: Vec<Window> = windows
+            .into_iter()
+            .map(|(a, b)| Window { start_ns: a.min(b), end_ns: a.max(b) })
+            .collect();
+        windows.push(Window::all());
+        for machine in 0..2 {
+            let snapshot: Vec<Vec<Point>> =
+                LANES.iter().map(|&lane| model.lane(machine, lane).to_vec()).collect();
+            prop_assert_eq!(store.machine_snapshot(machine), snapshot);
+            for lane in LANES {
+                let points: Vec<Point> = store.points(machine, lane).collect();
+                prop_assert_eq!(&points[..], model.lane(machine, lane));
+                prop_assert_eq!(store.lane_len(machine, lane), points.len());
+                prop_assert_eq!(
+                    store.evicted(machine, lane),
+                    model.evicted[machine][Model::index(lane)]
+                );
+                for &w in &windows {
+                    let expect = model.window(machine, lane, w);
+                    let in_window: Vec<Point> = store.window_points(machine, lane, w).collect();
+                    prop_assert_eq!(&in_window, &expect);
+                    prop_assert_eq!(
+                        store.window_sum(machine, lane, w),
+                        model.window_sum(machine, lane, w)
+                    );
+                    prop_assert_eq!(
+                        store.window_rate(machine, lane, w).to_bits(),
+                        model.window_rate(machine, lane, w).to_bits()
+                    );
+                    let percentile = if expect.is_empty() {
+                        0.0
+                    } else {
+                        let deltas: Vec<f64> = expect.iter().map(|p| p.delta as f64).collect();
+                        analysis::percentile(&deltas, 90.0)
+                    };
+                    prop_assert_eq!(
+                        store.window_percentile(machine, lane, w, 90.0).to_bits(),
+                        percentile.to_bits()
+                    );
+                }
+            }
+            for &w in &windows {
+                let mpki = analysis::mpki(
+                    model.window_sum(machine, Lane::Pmc(1), w),
+                    model.window_sum(machine, Lane::INSTRUCTIONS, w),
+                );
+                prop_assert_eq!(
+                    store.window_mpki(machine, Lane::Pmc(1), w).to_bits(),
+                    mpki.to_bits()
+                );
+            }
+            let series: Vec<f64> = model
+                .lane(machine, Lane::Pmc(1))
+                .iter()
+                .zip(model.lane(machine, Lane::INSTRUCTIONS))
+                .map(|(miss, instr)| analysis::mpki(miss.delta, instr.delta))
+                .collect();
+            prop_assert_eq!(store.mpki_series(machine, Lane::Pmc(1)), series);
+        }
+        // Programmable deltas are small, so this sum cannot overflow.
+        for &w in &windows {
+            let sum: u64 = (0..2).map(|m| model.window_sum(m, Lane::Pmc(0), w)).sum();
+            prop_assert_eq!(store.fleet_window_sum(Lane::Pmc(0), w), sum);
+        }
+    }
 }
 
 proptest! {

@@ -21,12 +21,14 @@
 //! # Ok::<(), kleb::MonitorError>(())
 //! ```
 
+use std::sync::{Arc, Mutex};
+
 use pmu::HwEvent;
 
 use ksim::{CoreId, Duration, Machine, ProcessInfo, SimError, Workload};
 
 use crate::config::{ModuleStatus, MonitorConfig};
-use crate::controller::{shared_report, Controller, SampleSink};
+use crate::controller::{lock, shared_report, Controller, SampleSink};
 use crate::governor::{GovernorStats, RateGovernor, RatePolicy};
 use crate::module::{KlebModule, KlebTuning};
 use crate::sample::Sample;
@@ -61,7 +63,8 @@ impl From<SimError> for MonitorError {
 /// Everything a completed monitoring session produced.
 #[derive(Debug, Clone)]
 pub struct MonitorOutcome {
-    /// The per-period sample time series.
+    /// The per-period sample time series. Empty after
+    /// [`Monitor::run_with_sink`], whose sink received every sample.
     pub samples: Vec<Sample>,
     /// Timing and ground-truth events of the monitored process.
     pub target: ProcessInfo,
@@ -96,6 +99,17 @@ impl MonitorOutcome {
     pub fn series(&self, event: HwEvent) -> Option<Vec<u64>> {
         let i = self.events.iter().position(|&e| e == event)?;
         Some(self.samples.iter().map(|s| s.pmc[i]).collect())
+    }
+}
+
+/// The sink behind [`Monitor::run`] and [`Monitor::attach`]: its one
+/// `Vec` moves, uncloned, into [`MonitorOutcome::samples`].
+#[derive(Debug, Clone, Default)]
+struct VecSink(Arc<Mutex<Vec<Sample>>>);
+
+impl SampleSink for VecSink {
+    fn on_batch(&mut self, samples: &[Sample]) {
+        lock(&self.0).extend_from_slice(samples);
     }
 }
 
@@ -225,7 +239,9 @@ impl Monitor {
 
     /// Like [`Monitor::run`], but streams every drained batch into `sink`
     /// as monitoring progresses — the fleet-telemetry entry point. The
-    /// returned outcome still carries the full sample series.
+    /// sink is the only holder of the samples: the returned outcome's
+    /// `samples` is empty, and its status, recovery and governor ledgers
+    /// are those [`Monitor::run`] would report.
     ///
     /// # Errors
     ///
@@ -259,6 +275,8 @@ impl Monitor {
         self.drive(machine, target, false, None)
     }
 
+    /// Runs the controller to completion, handing every batch to `sink`,
+    /// or, without one, to a [`VecSink`] whose samples the outcome takes.
     fn drive(
         &self,
         machine: &mut Machine,
@@ -282,15 +300,15 @@ impl Monitor {
         let drain = self
             .drain_interval
             .unwrap_or_else(|| Controller::default_drain_interval(self.period));
-        let mut controller_workload = Controller::new(device, cfg, target, drain, report.clone());
+        let collected = VecSink::default();
+        let sink = sink.unwrap_or_else(|| Box::new(collected.clone()));
+        let mut controller_workload =
+            Controller::new(device, cfg, target, drain, report.clone(), sink);
         if !resume_target {
             controller_workload = controller_workload.attach_running();
         }
         if let Some((seq_base, ts_base_ns)) = self.resume_base {
             controller_workload = controller_workload.resume_from(seq_base, ts_base_ns);
-        }
-        if let Some(sink) = sink {
-            controller_workload = controller_workload.with_sink(sink);
         }
         if let Some(policy) = self.governor {
             controller_workload = controller_workload
@@ -304,14 +322,14 @@ impl Monitor {
 
         machine.run_until_exit(controller)?;
 
-        let guard = crate::controller::lock_report(&report);
+        let guard = lock(&report);
         if let Some(err) = &guard.error {
             return Err(MonitorError::Controller(err.clone()));
         }
-        let target_info = machine.process(target).clone();
+        let samples = std::mem::take(&mut *lock(&collected.0));
         Ok(MonitorOutcome {
-            samples: guard.samples.clone(),
-            target: target_info,
+            samples,
+            target: machine.process(target).clone(),
             status: guard.final_status.unwrap_or_default(),
             events: self.events.clone(),
             recovery: guard.recovery,
@@ -443,23 +461,62 @@ mod tests {
         assert_eq!(series.len(), outcome.samples.len());
     }
 
-    fn governed_outcome(seed: u64, pressure: f64) -> MonitorOutcome {
+    /// A governed session on a machine with `faults`: its machine,
+    /// monitor and target program.
+    fn governed_session(
+        seed: u64,
+        faults: ksim::FaultPlan,
+    ) -> (Machine, Monitor, Box<dyn Workload>) {
         let mut cfg = MachineConfig::test_tiny(seed);
-        cfg.faults = ksim::FaultPlan::ring_pressure(pressure);
-        let mut machine = Machine::new(cfg);
+        cfg.faults = faults;
         let base = Duration::from_micros(100);
         // A run long enough for many live status polls (the governor only
         // acts at polls), with polls at every millisecond.
-        Monitor::new(&[HwEvent::LlcMiss], base)
+        let monitor = Monitor::new(&[HwEvent::LlcMiss], base)
             .tuning(KlebTuning::microarchitectural())
             .drain_interval(Duration::from_millis(1))
-            .govern(crate::RatePolicy::new(base.as_nanos()))
-            .run(
-                &mut machine,
-                "t",
-                Box::new(FixedBlocks::new(30_000, WorkBlock::compute(1_000, 2_670))),
-            )
-            .unwrap()
+            .govern(crate::RatePolicy::new(base.as_nanos()));
+        let workload = Box::new(FixedBlocks::new(30_000, WorkBlock::compute(1_000, 2_670)));
+        (Machine::new(cfg), monitor, workload)
+    }
+
+    fn governed_outcome(seed: u64, pressure: f64) -> MonitorOutcome {
+        let (mut machine, monitor, workload) =
+            governed_session(seed, ksim::FaultPlan::ring_pressure(pressure));
+        monitor.run(&mut machine, "t", workload).unwrap()
+    }
+
+    /// Keeps every batch a session hands its sink.
+    #[derive(Debug, Clone, Default)]
+    struct Capture(Arc<Mutex<Vec<Vec<Sample>>>>);
+
+    impl SampleSink for Capture {
+        fn on_batch(&mut self, samples: &[Sample]) {
+            self.0.lock().unwrap().push(samples.to_vec());
+        }
+    }
+
+    #[test]
+    fn run_collects_exactly_the_batches_a_sink_sees() {
+        // Chaos under a governor leaves every ledger nonzero.
+        let faults = ksim::FaultPlan::chaos(0.3);
+        let (mut machine, monitor, workload) = governed_session(5, faults);
+        let collected = monitor.run(&mut machine, "t", workload).unwrap();
+        let capture = Capture::default();
+        let (mut machine, monitor, workload) = governed_session(5, faults);
+        let streamed = monitor
+            .run_with_sink(&mut machine, "t", workload, Box::new(capture.clone()))
+            .unwrap();
+        assert!(streamed.samples.is_empty(), "the sink holds the samples");
+        let batches = capture.0.lock().unwrap();
+        assert!(batches.len() > 1 && batches.iter().all(|b| !b.is_empty()));
+        assert_eq!(batches.concat(), collected.samples);
+        assert_eq!(streamed.status, collected.status);
+        assert_eq!(streamed.recovery, collected.recovery);
+        assert_eq!(streamed.governor, collected.governor);
+        assert!(collected.status.samples_dropped > 0);
+        assert!(collected.recovery.drain_retries > 0);
+        assert!(collected.governor.retunes > 0);
     }
 
     #[test]

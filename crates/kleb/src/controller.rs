@@ -11,7 +11,7 @@
 //! own core, which is precisely why K-LEB's overhead on the monitored core
 //! stays low.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use ksim::{DeviceId, Duration, Errno, ItemResult, Pid, Syscall, WorkBlock, WorkItem, Workload};
 
@@ -22,13 +22,12 @@ use crate::config::{
 use crate::governor::{GovernorStats, PressureSample, RateDecision, RateGovernor};
 use crate::sample::{Sample, RECORD_BYTES};
 
-/// Receives every drained sample batch as it leaves the kernel buffer,
-/// before it lands in the [`ControllerReport`].
+/// Receives every drained sample batch as it leaves the kernel buffer.
 ///
-/// This is the streaming hook fleet-scale consumers attach to: a sink sees
-/// batches in drain order, exactly once, on the thread driving the
-/// simulation. Implementations must be cheap — they run inside the
-/// controller's logging step.
+/// The sink is the only way samples leave a monitor: the controller keeps
+/// no copy of its own. A sink sees batches in drain order, exactly once,
+/// on the thread driving the simulation. Implementations must be cheap —
+/// they run inside the controller's logging step.
 pub trait SampleSink: Send + std::fmt::Debug {
     /// Called once per non-empty drain with the decoded records.
     fn on_batch(&mut self, samples: &[Sample]);
@@ -67,17 +66,13 @@ pub struct RecoveryStats {
 }
 
 /// Shared result channel between the controller process and the host code
-/// that spawned it.
+/// that spawned it: the controller's ledgers. Samples go to the sink.
 #[derive(Debug, Default)]
-pub struct ControllerReport {
-    /// All decoded samples, in time order.
-    pub samples: Vec<Sample>,
+pub(crate) struct ControllerReport {
     /// The final module status after STOP.
     pub final_status: Option<ModuleStatus>,
     /// Fatal setup error (failed ioctl), if any.
     pub error: Option<String>,
-    /// Number of `read()` drains performed.
-    pub drains: u64,
     /// Fault-recovery accounting (all zero on a healthy machine).
     pub recovery: RecoveryStats,
     /// Rate-governor accounting (all zero when ungoverned or never
@@ -86,20 +81,19 @@ pub struct ControllerReport {
 }
 
 /// Handle to a [`ControllerReport`] shared with a running controller.
-pub type SharedReport = Arc<Mutex<ControllerReport>>;
+pub(crate) type SharedReport = Arc<Mutex<ControllerReport>>;
 
 /// Creates an empty shared report.
-pub fn shared_report() -> SharedReport {
+pub(crate) fn shared_report() -> SharedReport {
     Arc::new(Mutex::new(ControllerReport::default()))
 }
 
-/// Locks a shared report, recovering from poisoning: a panic elsewhere
-/// must not cascade into the controller, and the report data stays valid
-/// (it is only ever appended to under the lock).
-pub(crate) fn lock_report(report: &SharedReport) -> std::sync::MutexGuard<'_, ControllerReport> {
-    report
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+/// Locks a report or sample buffer shared with a controller, recovering
+/// from poisoning: a panic elsewhere must not cascade into the
+/// controller, and the data stays valid (each update is one write under
+/// the lock).
+pub(crate) fn lock<T>(shared: &Mutex<T>) -> MutexGuard<'_, T> {
+    shared.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Per-record user-space logging cost (format + write to the log file,
@@ -141,16 +135,16 @@ enum Phase {
 /// The controller workload.
 ///
 /// Drive it with [`ksim::Machine::spawn`] on a different core than the
-/// target; read results from the [`SharedReport`] after it exits.
+/// target; read its ledgers from the [`SharedReport`] after it exits.
 #[derive(Debug)]
-pub struct Controller {
+pub(crate) struct Controller {
     device: DeviceId,
     cfg: MonitorConfig,
     target: Pid,
     resume_target: bool,
     drain_interval: Duration,
     report: SharedReport,
-    sink: Option<Box<dyn SampleSink>>,
+    sink: Box<dyn SampleSink>,
     phase: Phase,
     /// EAGAIN retries consumed for the drain in flight.
     drain_attempt: u32,
@@ -193,14 +187,15 @@ struct ResumeBase {
 
 impl Controller {
     /// A controller that will configure `device` to monitor `target` per
-    /// `cfg`, wake the (suspended) target once monitoring is live, and drain
-    /// every `drain_interval`.
-    pub fn new(
+    /// `cfg`, wake the (suspended) target once monitoring is live, drain
+    /// every `drain_interval` and hand each drained batch to `sink`.
+    pub(crate) fn new(
         device: DeviceId,
         cfg: MonitorConfig,
         target: Pid,
         drain_interval: Duration,
         report: SharedReport,
+        sink: Box<dyn SampleSink>,
     ) -> Self {
         Self {
             device,
@@ -209,7 +204,7 @@ impl Controller {
             resume_target: true,
             drain_interval,
             report,
-            sink: None,
+            sink,
             phase: Phase::Config,
             drain_attempt: 0,
             final_attempt: 0,
@@ -226,20 +221,14 @@ impl Controller {
     /// period control from the legacy degraded-mode doubling: every status
     /// poll is folded into its AIMD law, and retunes flow through the
     /// acked `SET_PERIOD` form.
-    pub fn with_governor(mut self, governor: RateGovernor) -> Self {
+    pub(crate) fn with_governor(mut self, governor: RateGovernor) -> Self {
         self.governor = Some(governor);
-        self
-    }
-
-    /// Streams every drained batch into `sink` (in addition to the report).
-    pub fn with_sink(mut self, sink: Box<dyn SampleSink>) -> Self {
-        self.sink = Some(sink);
         self
     }
 
     /// Disables the wake-up step (for targets that are already running,
     /// i.e. attaching to a live process as §III describes).
-    pub fn attach_running(mut self) -> Self {
+    pub(crate) fn attach_running(mut self) -> Self {
         self.resume_target = false;
         self
     }
@@ -249,7 +238,7 @@ impl Controller {
     /// timestamp, and the first sample is flagged as following a gap. Used
     /// by supervisors re-entering a monitor after the previous incarnation
     /// crashed (see the [`ResumeBase`] doc for why ledgers stay closed).
-    pub fn resume_from(mut self, seq_base: u64, ts_base_ns: u64) -> Self {
+    pub(crate) fn resume_from(mut self, seq_base: u64, ts_base_ns: u64) -> Self {
         self.resume_base = Some(ResumeBase {
             seq: seq_base,
             ts_ns: ts_base_ns,
@@ -261,7 +250,7 @@ impl Controller {
     /// A sensible drain interval for a sampling period: every ~64 periods,
     /// clamped to [1 ms, 50 ms] — frequent enough that an 8192-record buffer
     /// never starves at 100 µs sampling.
-    pub fn default_drain_interval(period: Duration) -> Duration {
+    pub(crate) fn default_drain_interval(period: Duration) -> Duration {
         let raw = period * 64;
         let min = Duration::from_millis(1);
         let max = Duration::from_millis(50);
@@ -275,7 +264,7 @@ impl Controller {
     }
 
     fn fail(&mut self, what: &str, retval: i64) -> Option<WorkItem> {
-        lock_report(&self.report).error = Some(format!("{what} failed: {retval}"));
+        lock(&self.report).error = Some(format!("{what} failed: {retval}"));
         self.phase = Phase::Done;
         None
     }
@@ -303,19 +292,25 @@ impl Controller {
         Duration::from_nanos(base_ns << attempt.min(6))
     }
 
-    /// Applies the resume rebase (no-op on a first run).
-    fn rebase(&mut self, samples: &mut [Sample]) {
-        let Some(base) = &mut self.resume_base else {
-            return;
-        };
-        for s in samples.iter_mut() {
-            s.seq = s.seq.wrapping_add(base.seq);
-            s.timestamp_ns = s.timestamp_ns.wrapping_add(base.ts_ns);
-            if base.gap_pending {
-                s.gap = true;
-                base.gap_pending = false;
+    /// Decodes a drained payload, applies the resume rebase (a no-op on a
+    /// first run) and hands a non-empty batch to the sink. Returns the
+    /// number of records.
+    fn deliver(&mut self, payload: &[u8]) -> usize {
+        let mut samples = Sample::decode_all(payload);
+        if let Some(base) = &mut self.resume_base {
+            for s in samples.iter_mut() {
+                s.seq = s.seq.wrapping_add(base.seq);
+                s.timestamp_ns = s.timestamp_ns.wrapping_add(base.ts_ns);
+                if base.gap_pending {
+                    s.gap = true;
+                    base.gap_pending = false;
+                }
             }
         }
+        if !samples.is_empty() {
+            self.sink.on_batch(&samples);
+        }
+        samples.len()
     }
 }
 
@@ -364,32 +359,20 @@ impl Workload for Controller {
                     if prev.retval() == Some(Errno::Again.as_retval()) {
                         if self.drain_attempt < MAX_DRAIN_RETRIES {
                             self.drain_attempt += 1;
-                            lock_report(&self.report).recovery.drain_retries += 1;
+                            lock(&self.report).recovery.drain_retries += 1;
                             let pause = self.backoff(self.drain_attempt);
                             self.phase = Phase::Drain;
                             return Some(WorkItem::Sleep(pause));
                         }
-                        lock_report(&self.report).recovery.drains_abandoned += 1;
+                        lock(&self.report).recovery.drains_abandoned += 1;
                         self.drain_attempt = 0;
                         self.phase = Phase::Status;
                         continue;
                     }
                     self.drain_attempt = 0;
-                    let drained = if let ItemResult::Syscall { payload, .. } = prev {
-                        let mut samples = Sample::decode_all(payload);
-                        self.rebase(&mut samples);
-                        let n = samples.len();
-                        if n > 0 {
-                            if let Some(sink) = &mut self.sink {
-                                sink.on_batch(&samples);
-                            }
-                        }
-                        let mut report = lock_report(&self.report);
-                        report.samples.extend(samples);
-                        report.drains += 1;
-                        n
-                    } else {
-                        0
+                    let drained = match prev {
+                        ItemResult::Syscall { payload, .. } => self.deliver(payload),
+                        _ => 0,
                     };
                     self.phase = Phase::Status;
                     if drained > 0 {
@@ -429,7 +412,7 @@ impl Workload for Controller {
                                     buffered: s.buffered,
                                     capacity: self.cfg.buffer_capacity as u64,
                                 });
-                                lock_report(&self.report).governor = gov.stats();
+                                lock(&self.report).governor = gov.stats();
                                 if let RateDecision::Retune { period_ns, seq } = decision {
                                     self.phase = Phase::AfterRetune { seq, period_ns };
                                     let mut payload = period_ns.to_le_bytes().to_vec();
@@ -437,7 +420,7 @@ impl Workload for Controller {
                                     return Some(self.ioctl(IOCTL_SET_PERIOD, payload));
                                 }
                                 if stalled {
-                                    lock_report(&self.report).recovery.kicks += 1;
+                                    lock(&self.report).recovery.kicks += 1;
                                     self.phase = Phase::AfterKick;
                                     return Some(self.ioctl(IOCTL_KICK, Vec::new()));
                                 }
@@ -453,7 +436,7 @@ impl Workload for Controller {
                                 && s.period_ns > 0
                             {
                                 self.doublings += 1;
-                                let mut report = lock_report(&self.report);
+                                let mut report = lock(&self.report);
                                 report.recovery.period_doublings = self.doublings;
                                 report.recovery.degraded = true;
                                 drop(report);
@@ -467,7 +450,7 @@ impl Workload for Controller {
                                 // samples_taken froze between polls: the
                                 // sampling timer may have lost its expiry.
                                 // Kick it (a no-op if nothing is stalled).
-                                lock_report(&self.report).recovery.kicks += 1;
+                                lock(&self.report).recovery.kicks += 1;
                                 self.phase = Phase::AfterKick;
                                 return Some(self.ioctl(IOCTL_KICK, Vec::new()));
                             }
@@ -482,7 +465,7 @@ impl Workload for Controller {
                 }
                 Phase::AfterKick => {
                     if prev.retval() == Some(1) {
-                        lock_report(&self.report).recovery.kicks_honoured += 1;
+                        lock(&self.report).recovery.kicks_honoured += 1;
                     }
                     self.phase = Phase::Sleep;
                 }
@@ -495,11 +478,9 @@ impl Workload for Controller {
                     if prev.retval() == Some(seq as i64) {
                         if let Some(gov) = &mut self.governor {
                             gov.acked(seq);
-                            lock_report(&self.report).governor = gov.stats();
+                            lock(&self.report).governor = gov.stats();
                         }
-                        if let Some(sink) = &mut self.sink {
-                            sink.on_retune(seq, period_ns);
-                        }
+                        self.sink.on_retune(seq, period_ns);
                     }
                     self.phase = Phase::Sleep;
                 }
@@ -515,23 +496,14 @@ impl Workload for Controller {
                         && self.final_attempt < MAX_FINAL_DRAIN_RETRIES
                     {
                         self.final_attempt += 1;
-                        lock_report(&self.report).recovery.drain_retries += 1;
+                        lock(&self.report).recovery.drain_retries += 1;
                         let pause = self.backoff(self.final_attempt);
                         self.phase = Phase::FinalDrain;
                         return Some(WorkItem::Sleep(pause));
                     }
                     if let ItemResult::Syscall { payload, retval } = prev {
                         if *retval > 0 {
-                            let mut samples = Sample::decode_all(payload);
-                            self.rebase(&mut samples);
-                            if !samples.is_empty() {
-                                if let Some(sink) = &mut self.sink {
-                                    sink.on_batch(&samples);
-                                }
-                            }
-                            let mut report = lock_report(&self.report);
-                            report.samples.extend(samples);
-                            report.drains += 1;
+                            self.deliver(payload);
                             // Buffer may still hold more records than one
                             // read returned; drain again.
                             if *retval as usize >= RECORD_BYTES {
@@ -546,12 +518,10 @@ impl Workload for Controller {
                 Phase::Done => {
                     if let ItemResult::Syscall { payload, .. } = prev {
                         if let Some(s) = ModuleStatus::from_payload(payload) {
-                            lock_report(&self.report).final_status = Some(s);
+                            lock(&self.report).final_status = Some(s);
                         }
                     }
-                    if let Some(sink) = &mut self.sink {
-                        sink.on_complete();
-                    }
+                    self.sink.on_complete();
                     return None;
                 }
             }
@@ -583,7 +553,6 @@ mod tests {
     fn shared_report_starts_empty() {
         let r = shared_report();
         let g = r.lock().unwrap();
-        assert!(g.samples.is_empty());
         assert!(g.final_status.is_none());
         assert!(g.error.is_none());
     }

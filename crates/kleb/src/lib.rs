@@ -13,9 +13,9 @@
 //!   tree, samples counters on a high-resolution kernel timer into a kernel
 //!   ring buffer, follows forks, pauses on buffer pressure (the starvation
 //!   safety mechanism) and takes a final partial sample at process exit.
-//! - [`Controller`]: the user-space controller process that configures the
+//! - [`controller`]: the user-space controller process that configures the
 //!   module over `ioctl`, periodically drains samples with `read()`, and
-//!   logs them in user space.
+//!   hands each drained batch to a [`SampleSink`].
 //!
 //! [`Monitor`] packages both into a one-call API:
 //!
@@ -41,9 +41,7 @@ pub mod sample;
 
 pub use api::{monitor_sequential, Monitor, MonitorError, MonitorOutcome, SequentialOutcome};
 pub use config::{ConfigError, ModuleStatus, MonitorConfig};
-pub use controller::{
-    shared_report, Controller, ControllerReport, RecoveryStats, SampleSink, SharedReport,
-};
+pub use controller::{RecoveryStats, SampleSink};
 pub use governor::{GovernorStats, PressureSample, RateDecision, RateGovernor, RatePolicy};
 pub use log::{parse_csv, render_csv, LogParseError};
 pub use module::{KlebModule, KlebTuning};

@@ -10,6 +10,13 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (workspace, all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> perfbench fmt + clippy (its own package, built against the public API)"
+# perfbench is outside the workspace, so the two steps above skip it; an
+# API change that breaks its lint shows here, not at the next benchmark
+# change.
+cargo fmt --manifest-path perfbench/Cargo.toml -- --check
+cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
+
 echo "==> klint (determinism + MSR-protocol + unsafe/atomics invariants, baseline: klint.baseline)"
 cargo run -q -p klint -- --workspace
 mkdir -p target

@@ -22,7 +22,7 @@
 
 use std::collections::VecDeque;
 
-use pmu::{HwEvent, NUM_FIXED};
+use pmu::{HwEvent, NUM_FIXED, NUM_PROGRAMMABLE};
 
 /// One counter lane of a machine's sample stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -208,11 +208,25 @@ impl FleetStore {
     /// timestamp precedes the machine's last accepted one is rejected
     /// whole. Returns `(accepted, rejected)` counts.
     pub fn ingest(&mut self, machine: usize, samples: &[kleb::Sample]) -> (u64, u64) {
-        let pmcs = self.events.len();
         let columns = &mut self.machines[machine];
+        // Room for what the batch can add below capacity, reserved up
+        // front: one bulk ingest sizes the columns once instead of
+        // doubling them.
+        let room = samples.len().min(self.shard_capacity - columns.ts.len());
+        columns.ts.reserve(room);
+        for cum in &mut columns.cum {
+            cum.reserve(room);
+        }
         let (mut accepted, mut rejected, mut evicted) = (0, 0, 0);
+        // The last timestamp and each lane's running sum, carried here
+        // rather than read back from the columns for every sample.
+        let mut last = columns.ts.back().copied();
+        let mut sums = [0u64; NUM_FIXED + NUM_PROGRAMMABLE];
+        for (sum, cum) in sums.iter_mut().zip(&columns.cum) {
+            *sum = cum.back().copied().unwrap_or_default();
+        }
         for s in samples {
-            if columns.ts.back().is_some_and(|&last| s.timestamp_ns < last) {
+            if last.is_some_and(|last| s.timestamp_ns < last) {
                 rejected += 1;
                 continue;
             }
@@ -225,10 +239,14 @@ impl FleetStore {
                 evicted += columns.cum.len() as u64;
             }
             columns.ts.push_back(s.timestamp_ns);
-            let deltas = s.fixed.iter().chain(&s.pmc[..pmcs]);
-            for (cum, &delta) in columns.cum.iter_mut().zip(deltas) {
-                let last = cum.back().copied().unwrap_or_default();
-                cum.push_back(last.wrapping_add(delta));
+            last = Some(s.timestamp_ns);
+            let mut deltas = [0u64; NUM_FIXED + NUM_PROGRAMMABLE];
+            deltas[..NUM_FIXED].copy_from_slice(&s.fixed);
+            deltas[NUM_FIXED..].copy_from_slice(&s.pmc);
+            // One column per configured lane: the zip ends there.
+            for ((cum, sum), delta) in columns.cum.iter_mut().zip(&mut sums).zip(deltas) {
+                *sum = sum.wrapping_add(delta);
+                cum.push_back(*sum);
             }
             accepted += 1;
         }

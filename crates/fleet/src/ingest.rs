@@ -1,9 +1,14 @@
-//! The lock-free ingest fan-in: one SPSC ring per machine.
+//! A lock-free ring fan-in: one SPSC ring per producing stream.
 //!
-//! Each monitor thread publishes its drained batches into its own
-//! [`kchan`] single-producer/single-consumer ring with a single release
-//! store, and the collector sweeps the rings round-robin with a single
-//! acquire load per ring — no locks anywhere on the data path.
+//! [`crate::FleetRunner`] does not use it: a fleet machine's samples go
+//! into the store when the machine joins, with no transport between. It
+//! stays as a standalone transport; [`ChannelStats`] is also the shape of
+//! a fleet outcome's per-machine accounting.
+//!
+//! Each producer publishes its batches into its own [`kchan`]
+//! single-producer/single-consumer ring with a single release store, and
+//! the collector sweeps the rings round-robin with a single acquire load
+//! per ring — no locks anywhere on the data path.
 //!
 //! The collector still parks when there is nothing to do, but only when
 //! *all* rings are empty, through a one-directional doorbell: it raises
@@ -31,8 +36,12 @@ use crate::ksync::{
 
 /// What [`RingSender::send`] does when its stream's ring is full — the
 /// same decision K-LEB's kernel module faces when its ring buffer
-/// outruns the controller (there it pauses; here the fleet makes the
+/// outruns the controller (there it pauses; here the fan-in makes the
 /// trade-off explicit and accounts every dropped sample per stream).
+///
+/// It has no effect on a fleet run
+/// ([`crate::FleetConfigBuilder::backpressure`]): no ring sits between a
+/// fleet machine and the store, so every run is lossless.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backpressure {
     /// Wait until the collector makes room. Lossless; the monitoring
@@ -43,7 +52,9 @@ pub enum Backpressure {
     DropNewest,
 }
 
-/// Counter snapshot for the whole fan-in.
+/// Counter snapshot for the whole fan-in, or a fleet outcome's
+/// per-machine accounting (where `depth_high_water` and `block_waits`
+/// read 0).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChannelStats {
     /// Samples offered to the fan-in, per stream.

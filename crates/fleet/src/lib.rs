@@ -1,23 +1,24 @@
-//! Fleet telemetry pipeline: many K-LEB monitors, one collector.
+//! Fleet telemetry pipeline: many K-LEB monitors, one sample store.
 //!
 //! The paper demonstrates low-overhead, high-frequency monitoring of one
 //! process on one machine. This crate scales that architecture out:
-//! [`FleetRunner`] drives N independent simulated machines on OS
-//! threads, each with its own seeded RNG, workload, and K-LEB monitor;
-//! their sample batches stream through one lock-free SPSC ring per
-//! machine ([`ingest`]) with an explicit [`Backpressure`] policy into a
-//! sharded [`FleetStore`], where
-//! windowed queries and the [`detect`] fan-in pass operate across the
-//! fleet. The pipeline observes itself through [`FleetMetrics`], a
-//! summary of each run's reports, and the [`governor`] module can hold
-//! the whole fleet inside an aggregate sampling budget while each
-//! machine's AIMD loop rides out its own pressure bursts.
+//! [`FleetRunner`] runs N independent simulated machines, each with its
+//! own seeded RNG, workload, and K-LEB monitor, to completion on a
+//! deterministic pool of at most one worker per host core (the calling
+//! thread is one of them). When every machine has finished, its samples
+//! go into its shard of a [`FleetStore`], where windowed queries and the
+//! [`detect`] fan-in pass operate across the fleet. The pipeline observes
+//! itself through [`FleetMetrics`], a summary of each run's reports, and
+//! the [`governor`] module can hold the whole fleet inside an aggregate
+//! sampling budget while each machine's AIMD loop rides out its own
+//! pressure bursts.
 //!
-//! Under [`Backpressure::Block`] every digested result is a function of
-//! the seeds alone: machines stamp samples in simulated time, a panicked
-//! machine restarts at once, and host time reaches only
-//! [`FleetOutcome::elapsed`] and the drain latency in [`FleetMetrics`],
-//! neither of which is digested.
+//! Every digested result is a function of the seeds alone, whatever the
+//! pool's width: machines stamp samples in simulated time, a panicked
+//! machine restarts at once, the outcome is assembled in spec order, and
+//! host time reaches only [`FleetOutcome::elapsed`], which is not
+//! digested. The [`ingest`] ring fan-in is a standalone transport that
+//! the runner does not use.
 //!
 //! ```
 //! use fleet::{FleetConfig, FleetRunner, MachineSpec};
@@ -52,7 +53,7 @@ pub mod supervisor;
 pub use detect::{scan_fleet, verdict_table, AnomalyConfig, FleetAnomalyReport, MachineVerdict};
 pub use governor::{GovernorPolicy, GovernorReport};
 pub use ingest::{ring_fanin, Backpressure, ChannelStats, Polled, RingCollector, RingSender};
-pub use metrics::{FleetMetrics, LatencyHistogram};
+pub use metrics::FleetMetrics;
 pub use runner::{
     FleetConfig, FleetConfigBuilder, FleetError, FleetOutcome, FleetRunner, MachineReport,
     MachineSpec, WorkloadFactory,

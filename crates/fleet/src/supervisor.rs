@@ -1,15 +1,17 @@
 //! Supervision & recovery: panic containment, deterministic restart,
 //! circuit breaking, and partial-outcome health accounting.
 //!
-//! Before this module, one panicking machine thread killed the whole
-//! fleet run: the collector still drained every surviving stream, then
-//! `run()` threw it all away behind a generic "machine thread panicked"
-//! error. Supervision turns a machine failure into *data*:
+//! Before this module, one panicking machine killed the whole fleet run
+//! behind a generic "machine thread panicked" error. Supervision turns a
+//! machine failure into *data*:
 //!
 //! - **Containment** — each monitor attempt runs under
 //!   [`std::panic::catch_unwind`]; the panic payload is downcast back to
 //!   its message ([`panic_message`]) and recorded as a typed
-//!   [`MachineFailure`] instead of being dropped on the floor.
+//!   [`MachineFailure`] instead of being dropped on the floor. A panic
+//!   outside the attempts (in the machine-config or workload factory) is
+//!   contained too: it fails that machine alone, and the rest of its
+//!   worker's machines still run.
 //! - **Restart** — a panicked machine is rebuilt and re-run at once,
 //!   under a bounded budget ([`SupervisorPolicy::max_restarts`]). The
 //!   retry's fault RNG is salted by attempt number
@@ -37,13 +39,13 @@
 //! count, failure count, trips, final breaker state) is a pure function
 //! of the failure sequence, which is why the digest is too.
 
+use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use kleb::{Monitor, MonitorOutcome, Sample, SampleSink};
 use ksim::{Machine, MachineConfig};
 use ktrace::{SharedWriter, StreamHealth, StreamLedger, StreamMeta, TraceWriter};
 
-use crate::ingest::RingSender;
 use crate::runner::{outline_report, MachineReport, WorkloadFactory};
 
 /// Restart and circuit-breaker tuning for one fleet.
@@ -342,20 +344,17 @@ impl HealthReport {
 }
 
 /// Everything the supervisor shares across attempts of one machine,
-/// *outside* the `catch_unwind` boundary: the stream's sending end (a
-/// panic must not drop it — end-of-stream is a supervisor decision, not
-/// a side effect of unwinding), the trace writer, resume bookkeeping,
-/// and the union of samples actually forwarded to the collector.
+/// *outside* the `catch_unwind` boundary: the trace writer, resume
+/// bookkeeping, and the union of samples forwarded so far.
 #[derive(Debug)]
 pub(crate) struct StreamProgress {
-    pub tx: Option<RingSender>,
     pub trace: Option<SharedWriter<std::fs::File>>,
     /// `(seq, timestamp_ns)` of the last forwarded sample; the next
     /// incarnation resumes from `seq + 1` on this time base.
     pub last: Option<(u64, u64)>,
-    /// Every sample forwarded to the collector, across all attempts —
-    /// what the trace holds, what a replay will reproduce, and the only
-    /// copy the machine's report carries.
+    /// Every sample forwarded across all attempts — what the trace
+    /// holds, what a replay will reproduce, and the only copy the
+    /// machine's report (and, at join, its store shard) carries.
     pub forwarded: Vec<Sample>,
     /// The last period the rate governor retuned to, if any: a restarted
     /// incarnation resumes here rather than snapping back to the
@@ -364,9 +363,9 @@ pub(crate) struct StreamProgress {
 }
 
 /// The per-attempt [`SampleSink`]: forwards each drained batch to the
-/// trace (if recording) and the fan-in, and tracks resume state. Holds
-/// only an [`Arc`] — unwinding through a panicking attempt drops the
-/// sink without touching the ring or the trace.
+/// trace (if recording) and the machine's samples, and tracks resume
+/// state. Holds only an [`Arc`] — unwinding through a panicking attempt
+/// drops the sink without touching the trace.
 #[derive(Debug)]
 pub(crate) struct SupervisorSink(Arc<Mutex<StreamProgress>>);
 
@@ -386,9 +385,6 @@ impl SampleSink for SupervisorSink {
         if let Some(trace) = &progress.trace {
             trace.append_batch(samples);
         }
-        if let Some(tx) = &mut progress.tx {
-            tx.send(samples);
-        }
         if let Some(sample) = samples.last() {
             progress.last = Some((sample.seq, sample.timestamp_ns));
         }
@@ -401,8 +397,8 @@ impl SampleSink for SupervisorSink {
 }
 
 /// One supervised machine's final word: always a report (failed
-/// machines get an outline one over the samples that did reach the
-/// collector) plus its health. Infallible by construction — failure is
+/// machines get an outline one over the samples their attempts
+/// forwarded) plus its health. Infallible by construction — failure is
 /// data, not an early return.
 #[derive(Debug)]
 pub struct SupervisedRun {
@@ -411,9 +407,12 @@ pub struct SupervisedRun {
     pub report: MachineReport,
     /// What supervision saw: restarts, failures, breaker history.
     pub health: HealthReport,
+    /// Samples the sealed trace's ledger counts; `None` when nothing was
+    /// recorded or the seal failed.
+    pub(crate) sealed_samples: Option<u64>,
 }
 
-/// Everything a machine thread needs to run one spec under supervision.
+/// Everything a worker needs to run one spec under supervision.
 pub(crate) struct MachineTask {
     pub label: String,
     pub seed: u64,
@@ -422,7 +421,6 @@ pub(crate) struct MachineTask {
     pub faults: Option<ksim::FaultPlan>,
     pub workload: WorkloadFactory,
     pub policy: SupervisorPolicy,
-    pub tx: RingSender,
     pub trace_path: Option<std::path::PathBuf>,
     pub meta: StreamMeta,
 }
@@ -432,7 +430,32 @@ pub(crate) struct MachineTask {
 /// or budget exhaustion. Seals the trace (durably, with the health
 /// ledger) either way. See the module docs for the determinism
 /// contract.
+///
+/// Never panics: the machine-config and workload factories run before
+/// each attempt, outside its `catch_unwind`, so a panic there fails this
+/// machine with a [`FailureKind::Panic`] outline report instead of
+/// unwinding through the worker and the machines it has yet to run.
 pub(crate) fn supervise_machine(task: MachineTask) -> SupervisedRun {
+    let (label, seed, events) = (task.label.clone(), task.seed, task.meta.events.clone());
+    std::panic::catch_unwind(AssertUnwindSafe(|| supervise_attempts(task))).unwrap_or_else(
+        |payload| {
+            let failure = MachineFailure {
+                label: label.clone(),
+                attempt: 0,
+                kind: FailureKind::Panic,
+                message: panic_message(payload),
+            };
+            SupervisedRun {
+                report: outline_report(&label, seed, events, Vec::new()),
+                health: HealthReport::failed_with(vec![failure]),
+                sealed_samples: None,
+            }
+        },
+    )
+}
+
+/// The body of [`supervise_machine`], which contains its panics.
+fn supervise_attempts(task: MachineTask) -> SupervisedRun {
     let MachineTask {
         label,
         seed,
@@ -441,7 +464,6 @@ pub(crate) fn supervise_machine(task: MachineTask) -> SupervisedRun {
         faults,
         workload,
         policy,
-        tx,
         trace_path,
         meta,
     } = task;
@@ -459,17 +481,19 @@ pub(crate) fn supervise_machine(task: MachineTask) -> SupervisedRun {
                     kind: FailureKind::Io,
                     message: format!("cannot create trace {}: {e}", path.display()),
                 });
-                drop(tx); // end-of-stream: the collector must not wait on us
                 let health = HealthReport::failed_with(failures);
                 let report = outline_report(&label, seed, meta.events.clone(), Vec::new());
-                return SupervisedRun { report, health };
+                return SupervisedRun {
+                    report,
+                    health,
+                    sealed_samples: None,
+                };
             }
         },
         None => None,
     };
 
     let progress = Arc::new(Mutex::new(StreamProgress {
-        tx: Some(tx),
         trace: trace.clone(),
         last: None,
         forwarded: Vec::new(),
@@ -545,12 +569,10 @@ pub(crate) fn supervise_machine(task: MachineTask) -> SupervisedRun {
         }
     }
 
-    // Reclaim the shared state: close the stream (dropping the sender is
-    // the end-of-stream signal, deliberately *not* done by unwinding),
-    // then seal the trace with the final ledger + health.
+    // Reclaim the shared state, then seal the trace with the final
+    // ledger + health.
     let (trace, forwarded) = {
         let mut guard = progress.lock().unwrap_or_else(PoisonError::into_inner);
-        drop(guard.tx.take());
         (guard.trace.take(), std::mem::take(&mut guard.forwarded))
     };
     let failed = outcome.is_none();
@@ -566,6 +588,7 @@ pub(crate) fn supervise_machine(task: MachineTask) -> SupervisedRun {
         Some(done) => (done.status, done.recovery, done.governor),
         None => Default::default(),
     };
+    let mut sealed_samples = None;
     if let Some(shared) = trace {
         let seal = shared.finish_durable(&StreamLedger {
             samples_written: 0, // the writer fills in its own count
@@ -574,22 +597,25 @@ pub(crate) fn supervise_machine(task: MachineTask) -> SupervisedRun {
             health: health.to_stream_health(),
             governor,
         });
-        if let Err(e) = seal {
-            // The run's data already reached the collector; a seal
-            // failure degrades the recording, it does not un-succeed
-            // the machine.
-            health.failures.push(MachineFailure {
-                label: label.clone(),
-                attempt,
-                kind: FailureKind::Io,
-                message: format!("cannot seal trace: {e}"),
-            });
-            health.failure_count = health.failure_count.saturating_add(1);
+        match seal {
+            Ok(()) => sealed_samples = Some(shared.samples_written()),
+            Err(e) => {
+                // The run's data is already in the report; a seal failure
+                // degrades the recording, it does not un-succeed the
+                // machine.
+                health.failures.push(MachineFailure {
+                    label: label.clone(),
+                    attempt,
+                    kind: FailureKind::Io,
+                    message: format!("cannot seal trace: {e}"),
+                });
+                health.failure_count = health.failure_count.saturating_add(1);
+            }
         }
     }
     // The sink was the attempts' only way out for samples, so the
-    // report's samples are what the collector (and the trace) received:
-    // the union across all attempts.
+    // report's samples are what the trace received: the union across
+    // all attempts.
     let report = match outcome {
         Some(done) => MachineReport {
             label,
@@ -601,7 +627,11 @@ pub(crate) fn supervise_machine(task: MachineTask) -> SupervisedRun {
         },
         None => outline_report(&label, seed, meta.events, forwarded),
     };
-    SupervisedRun { report, health }
+    SupervisedRun {
+        report,
+        health,
+        sealed_samples,
+    }
 }
 
 #[cfg(test)]

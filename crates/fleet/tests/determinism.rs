@@ -1,7 +1,6 @@
 //! The fleet determinism contract: identical config + seeds produce
-//! bit-identical per-machine stores under the lossless Block policy,
-//! regardless of how the OS interleaves the machine threads or how fast
-//! the host runs them.
+//! bit-identical per-machine stores, regardless of how the OS interleaves
+//! the pool's workers or how fast the host runs them.
 
 use fleet::{FleetConfig, FleetConfigBuilder, FleetOutcome, FleetRunner, MachineSpec};
 use kleb::KlebTuning;
@@ -91,8 +90,8 @@ fn different_seeds_actually_diverge() {
 fn a_slow_host_thread_does_not_change_the_digest() {
     let dir = std::env::temp_dir().join(format!("fleet-host-delay-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    // Machine 0's thread spends 3 s of host time before its workload
-    // starts: longer than any host-side timeout a collector could keep.
+    // Machine 0's worker spends 3 s of host time before its workload
+    // starts: longer than any host-side timeout a runner could keep.
     // Its simulated run, and everything recorded about it, is the same.
     let mut delayed = specs();
     delayed[0] = MachineSpec::new("node-0", 90, |seed| {

@@ -1,14 +1,13 @@
 //! Fleet-scale Meltdown detection: the paper's §IV-C case study, scaled
 //! from one machine to sixteen.
 //!
-//! Sixteen simulated machines run concurrently, each under its own K-LEB
-//! monitor at the paper's 100 µs period. Fifteen run the benign secret
-//! printer; one runs the Meltdown attack. Every monitor streams its
-//! sample batches through a bounded channel into a sharded fleet store,
-//! and a fan-in pass flags the attacker by its LLC-miss-per-kilo-
-//! instruction signature (paper: MPKI 7.52 benign → 27.53 under attack).
-//! The pipeline also reports its own self-metrics: ingest rate, drops,
-//! channel depth, drain latency.
+//! Sixteen simulated machines run on a worker pool, each under its own
+//! K-LEB monitor at the paper's 100 µs period. Fifteen run the benign
+//! secret printer; one runs the Meltdown attack. Each machine's samples
+//! go into its shard of the fleet store, and a fan-in pass flags the
+//! attacker by its LLC-miss-per-kilo-instruction signature (paper: MPKI
+//! 7.52 benign → 27.53 under attack). The pipeline also reports its own
+//! self-metrics: ingest rate, rejections, restarts and governance.
 //!
 //! Run with: `cargo run --release --example fleet_monitoring`
 

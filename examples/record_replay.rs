@@ -6,9 +6,9 @@
 //! retries, a real recovery ledger). Every sample stream is teed into a
 //! ktrace columnar segment while the live pipeline consumes it. The
 //! recording is then loaded back and driven through the *same* fleet
-//! collector as a drop-in machine source; the run digest — samples,
-//! store contents, drop accounting, supervision health — must match the
-//! live run exactly. That equality is what makes recorded traces usable
+//! join and store ingest as a drop-in machine source; the run digest —
+//! samples, store contents, drop accounting, supervision health — must
+//! match the live run exactly. That equality is what makes recorded traces usable
 //! for regression testing: a code change that alters any observable
 //! behaviour of the pipeline changes the digest.
 //!

@@ -101,7 +101,5 @@ RUSTFLAGS="$KLOOM_FLAGS" CARGO_TARGET_DIR=target/kloom \
     cargo test -q -p kchan --test kloom_ring
 RUSTFLAGS="$KLOOM_FLAGS" CARGO_TARGET_DIR=target/kloom \
     cargo test -q -p fleet --test kloom_doorbell
-RUSTFLAGS="$KLOOM_FLAGS" CARGO_TARGET_DIR=target/kloom \
-    cargo test -q -p fleet --test kloom_restart
 
 echo "==> OK"

@@ -17,6 +17,8 @@
 pub mod common;
 pub mod kleb_tool;
 pub mod limit;
+#[cfg(test)]
+mod malformed;
 pub mod papi;
 pub mod perf_kernel;
 pub mod perf_record;

@@ -20,7 +20,9 @@ use ksim::{
 };
 
 use crate::common::{ToolRun, ToolSample};
-use crate::perf_kernel::{PerfCounts, PerfEventKernel, PerfKernelCosts, PERF_OPEN, PERF_READ};
+use crate::perf_kernel::{
+    PerfCounts, PerfEventKernel, PerfKernelCosts, PerfOpenConfig, PERF_OPEN, PERF_READ,
+};
 use crate::ToolError;
 
 /// PAPI cost profile.
@@ -129,23 +131,16 @@ impl PapiInstrumented {
     }
 
     fn open_item(&self) -> WorkItem {
-        let cfg = crate::perf_kernel::PerfOpenConfig {
+        let cfg = PerfOpenConfig {
             target: 0, // self
-            events: self
-                .events
-                .iter()
-                .map(|e| {
-                    let c = e.code();
-                    (c.event, c.umask)
-                })
-                .collect(),
+            events: self.events.iter().map(|e| e.code()).collect(),
             count_kernel: false,
             track_children: true,
         };
         WorkItem::Syscall(Syscall::Ioctl {
             device: self.device,
             request: PERF_OPEN,
-            payload: jsonlite::to_vec(&cfg).expect("config serializes"),
+            payload: cfg.encode(),
         })
     }
 
@@ -201,7 +196,7 @@ impl Workload for PapiInstrumented {
             Pending::ReadResult { is_final } => {
                 self.pending = Pending::None;
                 if let ItemResult::Syscall { payload, .. } = prev {
-                    if let Ok(counts) = jsonlite::from_slice::<PerfCounts>(payload) {
+                    if let Some(counts) = PerfCounts::decode(payload) {
                         self.record_read(counts, is_final);
                     }
                 }

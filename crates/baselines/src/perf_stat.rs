@@ -22,7 +22,7 @@ use ksim::{
 
 use crate::common::{ToolRun, ToolSample};
 use crate::perf_kernel::{
-    PerfCounts, PerfEventKernel, PerfKernelCosts, PERF_CLOSE, PERF_OPEN, PERF_READ,
+    PerfCounts, PerfEventKernel, PerfKernelCosts, PerfOpenConfig, PERF_CLOSE, PERF_OPEN, PERF_READ,
 };
 use crate::ToolError;
 
@@ -100,20 +100,13 @@ struct PerfStatProcess {
 
 impl PerfStatProcess {
     fn open_payload(&self) -> Vec<u8> {
-        let cfg = crate::perf_kernel::PerfOpenConfig {
+        PerfOpenConfig {
             target: self.target.0,
-            events: self
-                .events
-                .iter()
-                .map(|e| {
-                    let c = e.code();
-                    (c.event, c.umask)
-                })
-                .collect(),
+            events: self.events.iter().map(|e| e.code()).collect(),
             count_kernel: self.count_kernel,
             track_children: true,
-        };
-        jsonlite::to_vec(&cfg).expect("config serializes")
+        }
+        .encode()
     }
 }
 
@@ -170,8 +163,8 @@ impl Workload for PerfStatProcess {
                     }));
                 }
                 PH_FORMAT => {
-                    let counts: Option<PerfCounts> = match prev {
-                        ItemResult::Syscall { payload, .. } => jsonlite::from_slice(payload).ok(),
+                    let counts = match prev {
+                        ItemResult::Syscall { payload, .. } => PerfCounts::decode(payload),
                         _ => None,
                     };
                     let Some(counts) = counts else {

@@ -20,9 +20,9 @@
 
 use std::collections::{BTreeSet, VecDeque};
 
-use pmu::{msr, EventSel, NUM_FIXED, NUM_PROGRAMMABLE};
+use pmu::{msr, EventSel, HwEvent, NUM_FIXED, NUM_PROGRAMMABLE};
 
-use ksim::{CoreId, Device, Errno, FaultClass, KernelCtx, Pid, TimerId};
+use ksim::{wire, CoreId, Device, Errno, FaultClass, KernelCtx, Pid, TimerId};
 
 use crate::config::{
     ModuleStatus, MonitorConfig, IOCTL_CONFIG, IOCTL_KICK, IOCTL_SET_PERIOD, IOCTL_START,
@@ -169,6 +169,12 @@ impl KlebModule {
         }
         let cfg = MonitorConfig::from_payload(payload).ok_or(Errno::Inval)?;
         cfg.validate().map_err(|_| Errno::Inval)?;
+        let events: Vec<HwEvent> = cfg
+            .events
+            .iter()
+            .map(|&code| HwEvent::from_code(code))
+            .collect::<Option<_>>()
+            .ok_or(Errno::Inval)?;
         let target = Pid(cfg.target);
         let target_info = ctx.process_info(target).ok_or(Errno::Srch)?;
         let target_core = target_info.core;
@@ -178,10 +184,9 @@ impl KlebModule {
         // Program the event-select registers on the target's core.
         let mut enable_mask = 0u64;
         for i in 0..NUM_PROGRAMMABLE {
-            let bits = match cfg.events.get(i) {
-                Some(code) => {
+            let bits = match events.get(i) {
+                Some(&event) => {
                     enable_mask |= msr::global_ctrl_pmc_bit(i);
-                    let event = code.decode().ok_or(Errno::Inval)?;
                     EventSel::for_event(event)
                         .usr(true)
                         .os(cfg.count_kernel)
@@ -402,18 +407,9 @@ impl KlebModule {
         let Some(a) = self.armed.as_mut() else {
             return Err(Errno::Perm);
         };
-        let (period_ns, ack_seq) = match payload.len() {
-            8 => {
-                let bytes: [u8; 8] = payload.try_into().map_err(|_| Errno::Inval)?;
-                (u64::from_le_bytes(bytes), None)
-            }
-            16 => {
-                let period: [u8; 8] = payload[..8].try_into().map_err(|_| Errno::Inval)?;
-                let seq: [u8; 8] = payload[8..].try_into().map_err(|_| Errno::Inval)?;
-                (u64::from_le_bytes(period), Some(u64::from_le_bytes(seq)))
-            }
-            _ => return Err(Errno::Inval),
-        };
+        let (period_ns, ack_seq) = wire::decode(payload, |r| Some((r.u64()?, None)))
+            .or_else(|| wire::decode(payload, |r| Some((r.u64()?, Some(r.u64()?)))))
+            .ok_or(Errno::Inval)?;
         if period_ns == 0 {
             return Err(Errno::Inval);
         }
@@ -569,7 +565,6 @@ mod tests {
         Duration, FixedBlocks, ItemResult, Machine, MachineConfig, Syscall, WorkBlock, WorkItem,
         Workload,
     };
-    use pmu::HwEvent;
     use std::sync::{Arc, Mutex};
 
     /// Scripted controller: configure, start, resume target, sleep, drain

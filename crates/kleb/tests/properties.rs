@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use kleb::{MonitorConfig, Sample, RECORD_BYTES};
+use kleb::{ModuleStatus, MonitorConfig, Sample, RECORD_BYTES};
 use pmu::HwEvent;
 
 /// Up to four distinct programmable events, in an arbitrary order.
@@ -43,8 +43,33 @@ fn arb_sample() -> impl Strategy<Value = Sample> {
         )
 }
 
+fn arb_status() -> impl Strategy<Value = ModuleStatus> {
+    (
+        (any::<bool>(), any::<bool>()),
+        any::<[u64; 4]>(),
+        any::<u64>(),
+    )
+        .prop_map(
+            |(
+                (target_alive, paused),
+                [buffered, samples_taken, samples_dropped, pauses],
+                period_ns,
+            )| {
+                ModuleStatus {
+                    target_alive,
+                    buffered,
+                    samples_taken,
+                    samples_dropped,
+                    pauses,
+                    paused,
+                    period_ns,
+                }
+            },
+        )
+}
+
 proptest! {
-    /// Every sample round-trips through the 72-byte wire format.
+    /// Every sample round-trips through the 80-byte wire format.
     #[test]
     fn sample_codec_roundtrip(sample in arb_sample()) {
         let mut buf = Vec::new();
@@ -73,6 +98,7 @@ proptest! {
     #[test]
     fn config_payload_roundtrip(
         target in 1u32..10_000,
+        events in arb_events(),
         period_ns in 1u64..1_000_000_000,
         track_children in any::<bool>(),
         buffer_capacity in 1usize..100_000,
@@ -80,7 +106,7 @@ proptest! {
     ) {
         let mut cfg = MonitorConfig::new(
             ksim::Pid(target),
-            &[pmu::HwEvent::LlcMiss, pmu::HwEvent::Load],
+            &events,
             ksim::Duration::from_nanos(period_ns),
         );
         cfg.track_children = track_children;
@@ -88,6 +114,12 @@ proptest! {
         cfg.count_kernel = count_kernel;
         let back = MonitorConfig::from_payload(&cfg.to_payload());
         prop_assert_eq!(back, Some(cfg));
+    }
+
+    /// Status snapshots round-trip through the ioctl out-payload.
+    #[test]
+    fn status_payload_roundtrip(status in arb_status()) {
+        prop_assert_eq!(ModuleStatus::from_payload(&status.to_payload()), Some(status));
     }
 
     /// The controller's CSV log round-trips: `parse_csv(render_csv(s, e))`

@@ -16,7 +16,9 @@
 //!   (§VI of the paper discusses why jitter bounds usable sampling rates);
 //! - [`CostModel`]: calibrated cycle charges for syscalls, context switches,
 //!   interrupts and MSR access, so tool overhead *emerges* from mechanism
-//!   usage.
+//!   usage;
+//! - [`wire`]: the one little-endian format of every ioctl and `read`
+//!   payload, and its bounds-checked reader.
 //!
 //! # Example: run a workload and observe its instruction count
 //!
@@ -42,6 +44,7 @@ pub mod hrtimer;
 pub mod machine;
 pub mod process;
 pub mod time;
+pub mod wire;
 pub mod workload;
 
 pub use cost::CostModel;

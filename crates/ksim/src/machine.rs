@@ -1174,12 +1174,6 @@ impl KernelCtx<'_> {
         self.machine.cores[self.core.0].pmu.wrmsr(addr, value)
     }
 
-    /// Direct PMU access without cost (for bookkeeping reads in tests;
-    /// prefer [`rdmsr`](Self::rdmsr)/[`wrmsr`](Self::wrmsr) in tool code).
-    pub fn pmu_mut(&mut self) -> &mut Pmu {
-        &mut self.machine.cores[self.core.0].pmu
-    }
-
     /// Creates a kernel timer owned by the calling device, delivered on
     /// `core`.
     pub fn timer_create(&mut self, core: CoreId) -> TimerId {
@@ -1232,13 +1226,6 @@ impl KernelCtx<'_> {
     pub fn timer_cancel(&mut self, timer: TimerId) {
         self.charge_kernel_cycles(self.machine.cfg.cost.hrtimer_program);
         self.machine.timers.cancel(timer);
-    }
-
-    /// Whether `timer` is currently armed (its table deadline is set).
-    /// Note a lost expiry ([`FaultClass::TimerMiss`]) leaves the timer
-    /// armed with no fire pending — "armed" alone does not mean "alive".
-    pub fn timer_is_armed(&self, timer: TimerId) -> bool {
-        self.machine.timers.is_armed(timer)
     }
 
     /// Draws whether fault `class` fires at this opportunity — the oracle

@@ -75,11 +75,6 @@ impl Duration {
         self.0 as f64 / 1_000_000_000.0
     }
 
-    /// True if zero.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(self, other: Duration) -> Duration {
         Duration(self.0.saturating_sub(other.0))
@@ -177,16 +172,6 @@ impl CpuFreq {
     /// The paper's AWS verification machine: Xeon Platinum 8259CL @ 2.50 GHz.
     pub const XEON_8259CL: CpuFreq = CpuFreq { hz: 2_500_000_000 };
 
-    /// Constructs from hertz.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hz` is zero.
-    pub const fn from_hz(hz: u64) -> Self {
-        assert!(hz > 0);
-        CpuFreq { hz }
-    }
-
     /// Frequency in hertz.
     pub const fn hz(self) -> u64 {
         self.hz
@@ -276,8 +261,8 @@ mod tests {
         let freqs = [
             CpuFreq::I7_920,
             CpuFreq::XEON_8259CL,
-            CpuFreq::from_hz(1),
-            CpuFreq::from_hz(3_000_000_000),
+            CpuFreq { hz: 1 },
+            CpuFreq { hz: 3_000_000_000 },
         ];
         let mut x = 42u64;
         for freq in freqs {

@@ -1258,6 +1258,20 @@ mod tests {
     }
 
     #[test]
+    fn report_samples_keep_no_spare_capacity() {
+        for (name, config, exercised) in four_runs() {
+            let outcome = FleetRunner::new(config.build())
+                .run((0..4).map(spec).collect())
+                .unwrap();
+            assert!(exercised(&outcome), "the {name} run missed its case");
+            for (m, report) in outcome.machines.iter().enumerate() {
+                let samples = &report.outcome.samples;
+                assert_eq!(samples.capacity(), samples.len(), "{name}, machine {m}");
+            }
+        }
+    }
+
+    #[test]
     fn the_outcome_does_not_depend_on_the_pool_width() {
         for (name, config, exercised) in four_runs() {
             let dir = scratch_dir(&format!("width-{name}"));

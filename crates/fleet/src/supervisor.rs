@@ -571,10 +571,13 @@ fn supervise_attempts(task: MachineTask) -> SupervisedRun {
 
     // Reclaim the shared state, then seal the trace with the final
     // ledger + health.
-    let (trace, forwarded) = {
+    let (trace, mut forwarded) = {
         let mut guard = progress.lock().unwrap_or_else(PoisonError::into_inner);
         (guard.trace.take(), std::mem::take(&mut guard.forwarded))
     };
+    // The stream is complete: drop the slack its doubling growth left
+    // before the samples move into the report for the outcome's life.
+    forwarded.shrink_to_fit();
     let failed = outcome.is_none();
     let mut health = HealthReport {
         restarts,

@@ -326,7 +326,9 @@ impl Monitor {
         if let Some(err) = &guard.error {
             return Err(MonitorError::Controller(err.clone()));
         }
-        let samples = std::mem::take(&mut *lock(&collected.0));
+        let mut samples = std::mem::take(&mut *lock(&collected.0));
+        // The run is over: drop the slack of the sink's doubling growth.
+        samples.shrink_to_fit();
         Ok(MonitorOutcome {
             samples,
             target: machine.process(target).clone(),
@@ -432,6 +434,18 @@ mod tests {
         );
         assert!(outcome.status.samples_taken >= outcome.samples.len() as u64);
         assert!(outcome.target.is_exited());
+    }
+
+    #[test]
+    fn run_keeps_no_spare_sample_capacity() {
+        // Long enough for several drains, so the sink's Vec grows.
+        let mut machine = Machine::new(MachineConfig::test_tiny(9));
+        let workload = FixedBlocks::new(20_000, WorkBlock::compute(1_000, 2_670));
+        let outcome = Monitor::new(&[HwEvent::Load], Duration::from_micros(100))
+            .run(&mut machine, "t", Box::new(workload))
+            .unwrap();
+        assert!(outcome.samples.len() > 500);
+        assert_eq!(outcome.samples.capacity(), outcome.samples.len());
     }
 
     // FixedBlocks(compute) issues no loads, so the Load series is zero; the

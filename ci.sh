@@ -8,14 +8,17 @@ echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
 echo "==> cargo clippy (workspace, all targets, warnings are errors)"
-cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --locked --workspace --all-targets -- -D warnings
 
 echo "==> perfbench fmt + clippy (its own package, built against the public API)"
 # perfbench is outside the workspace, so the two steps above skip it; an
 # API change that breaks its lint shows here, not at the next benchmark
-# change.
+# change. Clippy, build, test and the perfbench runs are --locked: the
+# clippy steps are the first to resolve each package, so a manifest change
+# that would rewrite Cargo.lock or perfbench/Cargo.lock fails there instead
+# of silently editing the lockfile.
 cargo fmt --manifest-path perfbench/Cargo.toml -- --check
-cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
+cargo clippy --offline --locked --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
 echo "==> klint (determinism + MSR-protocol + unsafe/atomics invariants, baseline: klint.baseline)"
 cargo run -q -p klint -- --workspace
@@ -27,10 +30,10 @@ echo "==> api-snapshot gate (public API inventory matches committed api.txt)"
 cargo run -q -p klint --bin apisnap --
 
 echo "==> cargo build --release"
-cargo build --workspace --release
+cargo build --locked --workspace --release
 
 echo "==> cargo test"
-cargo test -q --workspace
+cargo test -q --locked --workspace
 
 echo "==> golden gate (every experiment bin at --quick prints exactly tests/golden/<bin>.txt)"
 # Every bin is pinned, so none may print host time. A new bin fails here
@@ -53,7 +56,7 @@ echo "==> perfbench counter gate (failed and the exact work counters at seed 42 
 # A traced round's exact counters do not depend on --seconds or host speed,
 # so a short run pins them; wall-clock metrics are reported, never gated.
 for workload in paper_overhead docker_mpki fleet_record_replay; do
-    json=$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+    json=$(cargo run -q --release --offline --locked --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seed 42 --seconds 1 --trace 1 | tail -n 1)
     echo "$workload failed $(sed -n 's/.*"failed": \([0-9]*\).*/\1/p' <<<"$json")"
     for counter in memsim.accesses memsim.llc_misses ksim.events workloads.blocks \
@@ -66,7 +69,7 @@ echo "==> perfbench held-out seed (every workload at seed 7 matches perfbench/re
 # perfbench checks its own outputs against the committed references and
 # reports "correct"; seed 7 is the seed no change is tuned on.
 for workload in paper_overhead docker_mpki fleet_record_replay; do
-    json=$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+    json=$(cargo run -q --release --offline --locked --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seed 7 --seconds 1 --trace 0 | tail -n 1)
     if ! grep -q '"correct": true' <<<"$json" || ! grep -q '"failed": 0,' <<<"$json"; then
         echo "$workload at seed 7: $json"

@@ -290,6 +290,39 @@ fn cache_traffic(
     }
 }
 
+/// Slots in a machine's [`Charge`] table: a power of two, well above the
+/// dozen distinct charges a monitored run makes.
+const CHARGE_SLOTS: usize = 64;
+
+/// What `cycles` of kernel work come to when a device charges them, or
+/// the machine itself: the cycles after the device's cost factor, the
+/// kernel instructions they retire and the time they take. Each is a pure
+/// function of the key `(charger, cycles)`, because the configuration
+/// never changes after [`Machine::new`] and a device's cost factor is
+/// fixed when it registers.
+#[derive(Debug, Clone, Copy, Default)]
+struct Charge {
+    /// 0 for the machine's own charges, a device's index plus 1 for its.
+    charger: u64,
+    cycles: u64,
+    scaled: u64,
+    instructions: u64,
+    elapsed: Duration,
+}
+
+impl Charge {
+    /// The charger key of `device`'s charges, or of the machine's own.
+    fn charger(device: Option<DeviceId>) -> u64 {
+        device.map_or(0, |d| d.0 as u64 + 1)
+    }
+
+    /// The direct-mapped slot of a key (Fibonacci hashing).
+    fn slot(charger: u64, cycles: u64) -> usize {
+        let key = cycles ^ charger.rotate_right(16);
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - CHARGE_SLOTS.trailing_zeros())) as usize
+    }
+}
+
 #[derive(Debug)]
 struct Core {
     now: Instant,
@@ -341,6 +374,11 @@ pub struct Machine {
     rng: StdRng,
     dram: DramState,
     faults: FaultState,
+    /// Every kernel charge's derived values, computed once per key.
+    charges: [Charge; CHARGE_SLOTS],
+    /// The last block's cycles and their duration: identical blocks, such
+    /// as [`crate::FixedBlocks`]', repeat both.
+    block_time: (u64, Duration),
 }
 
 impl std::fmt::Debug for Machine {
@@ -395,6 +433,8 @@ impl Machine {
             rng: StdRng::seed_from_u64(cfg.seed),
             dram: DramState::new(cfg.cores),
             faults: FaultState::for_attempt(cfg.faults, cfg.seed, cfg.fault_attempt),
+            charges: [Charge::default(); CHARGE_SLOTS],
+            block_time: (0, Duration::ZERO),
         }
     }
 
@@ -680,33 +720,42 @@ impl Machine {
             cycles += n * 60; // per-clflush cost
             events.add(HwEvent::InstructionsRetired, n);
         }
-        // Simulated memory traffic: on-chip stalls and DRAM stalls are
-        // separated so shared-bandwidth contention only amplifies the
-        // latter.
-        let before = self.mem.core(core.0).stats();
-        for pattern in &block.patterns {
-            self.mem.run_on(core.0, &proc.physical_pattern(pattern));
-            let event = match pattern.kind() {
-                AccessKind::Read => HwEvent::Load,
-                AccessKind::Write => HwEvent::Store,
-            };
-            events.add(event, pattern.len());
+        let now = self.cores[core.0].now;
+        if !block.patterns.is_empty() {
+            // Simulated memory traffic: on-chip stalls and DRAM stalls are
+            // separated so shared-bandwidth contention only amplifies the
+            // latter.
+            let before = self.mem.core(core.0).stats();
+            for pattern in &block.patterns {
+                self.mem.run_on(core.0, &proc.physical_pattern(pattern));
+                let event = match pattern.kind() {
+                    AccessKind::Read => HwEvent::Load,
+                    AccessKind::Write => HwEvent::Store,
+                };
+                events.add(event, pattern.len());
+            }
+            let traffic = cache_traffic(&self.mem, core, before, &mut events);
+            let penalty = self
+                .dram
+                .penalty(&self.cfg.dram, core.0, now, traffic.dram_lines);
+            let stall = traffic.cache_stall + (traffic.dram_stall as f64 * penalty) as u64;
+            cycles += stall / self.cfg.mlp as u64;
+        } else if self.dram.per_core[core.0].pressure != 0.0 {
+            // No patterns, no traffic: every cache delta and the stall are
+            // 0. Pressure still decays on every block; at zero pressure the
+            // call would only move `last_update`, which nothing reads
+            // until a block adds lines, and that block sets it first.
+            self.dram.penalty(&self.cfg.dram, core.0, now, 0);
         }
-        let traffic = cache_traffic(&self.mem, core, before, &mut events);
-        let penalty = self.dram.penalty(
-            &self.cfg.dram,
-            core.0,
-            self.cores[core.0].now,
-            traffic.dram_lines,
-        );
-        let stall = traffic.cache_stall + (traffic.dram_stall as f64 * penalty) as u64;
-        let c = &mut self.cores[core.0];
-        cycles += stall / self.cfg.mlp as u64;
         events.add(HwEvent::CoreCycles, cycles);
         events.add(HwEvent::RefCycles, cycles);
 
+        if self.block_time.0 != cycles {
+            self.block_time = (cycles, self.cfg.freq.cycles_to_duration(cycles));
+        }
+        let elapsed = self.block_time.1;
+        let c = &mut self.cores[core.0];
         c.pmu.observe(&events, Privilege::User);
-        let elapsed = self.cfg.freq.cycles_to_duration(cycles);
         c.now += elapsed;
         let proc = self.procs.get_mut(pid);
         proc.info.cpu_user += elapsed;
@@ -1055,27 +1104,61 @@ impl Machine {
     /// Each charge rounds its own instruction and nanosecond counts, so
     /// charges must not be summed before they are made.
     fn charge_kernel(&mut self, core: CoreId, pid: Option<Pid>, cycles: u64) {
-        if cycles == 0 {
+        self.charge_as(None, core, pid, cycles);
+    }
+
+    /// [`Machine::charge_kernel`] of `cycles` as `device` charges them,
+    /// scaled by its cost factor, or unscaled for `None`.
+    fn charge_as(&mut self, device: Option<DeviceId>, core: CoreId, pid: Option<Pid>, cycles: u64) {
+        let Charge {
+            scaled,
+            instructions,
+            elapsed,
+            ..
+        } = self.charge_of(device, cycles);
+        if scaled == 0 {
             return;
         }
-        let instructions = self.cfg.cost.kernel_instructions(cycles);
         let events = [
             (HwEvent::InstructionsRetired, instructions),
             (HwEvent::BranchRetired, instructions / 5),
             (HwEvent::Load, instructions / 4),
             (HwEvent::Store, instructions / 8),
-            (HwEvent::CoreCycles, cycles),
-            (HwEvent::RefCycles, cycles),
+            (HwEvent::CoreCycles, scaled),
+            (HwEvent::RefCycles, scaled),
         ];
         let c = &mut self.cores[core.0];
         c.pmu.observe_sparse(&events, Privilege::Kernel);
-        let elapsed = self.cfg.freq.cycles_to_duration(cycles);
         c.now += elapsed;
         if let Some(p) = pid {
             let proc = self.procs.get_mut(p);
             proc.info.cpu_kernel += elapsed;
             proc.info.true_kernel_events.extend(events);
         }
+    }
+
+    /// The [`Charge`] of `cycles` charged by `device`, derived on the key's
+    /// first use and read from its slot while no other key takes it.
+    fn charge_of(&mut self, device: Option<DeviceId>, cycles: u64) -> Charge {
+        let charger = Charge::charger(device);
+        let slot = &mut self.charges[Charge::slot(charger, cycles)];
+        if slot.charger != charger || slot.cycles != cycles {
+            let scaled = match device {
+                Some(d) => {
+                    let factor = self.device_cost_factor.get(d.0).copied().unwrap_or(1.0);
+                    (cycles as f64 * factor) as u64
+                }
+                None => cycles,
+            };
+            *slot = Charge {
+                charger,
+                cycles,
+                scaled,
+                instructions: self.cfg.cost.kernel_instructions(scaled),
+                elapsed: self.cfg.freq.cycles_to_duration(scaled),
+            };
+        }
+        *slot
     }
 
     fn with_device<R>(
@@ -1142,15 +1225,9 @@ impl KernelCtx<'_> {
     /// current process, like IRQ time accounting). The charge is scaled by
     /// the calling module's per-run cost factor.
     pub fn charge_kernel_cycles(&mut self, cycles: u64) {
-        let factor = self
-            .machine
-            .device_cost_factor
-            .get(self.device.0)
-            .copied()
-            .unwrap_or(1.0);
-        let scaled = (cycles as f64 * factor) as u64;
         let pid = self.machine.cores[self.core.0].current;
-        self.machine.charge_kernel(self.core, pid, scaled);
+        self.machine
+            .charge_as(Some(self.device), self.core, pid, cycles);
     }
 
     /// Reads a PMU MSR, charging the `rdmsr` cost.
@@ -1396,6 +1473,242 @@ mod tests {
             }
         }
         assert!(skipped > 1_000, "only {skipped} steps took the zero path");
+    }
+
+    /// Runs a fixed list of blocks.
+    #[derive(Debug)]
+    struct Script(VecDeque<WorkBlock>);
+
+    impl Workload for Script {
+        fn next(&mut self, _prev: &ItemResult) -> Option<WorkItem> {
+            self.0.pop_front().map(WorkItem::Block)
+        }
+    }
+
+    /// `lines` reads of consecutive lines from line `first` on.
+    fn stream(first: u64, lines: u64) -> AccessPattern {
+        AccessPattern::Sequential {
+            base: first * 64,
+            stride: 64,
+            count: lines,
+            kind: AccessKind::Read,
+        }
+    }
+
+    /// Core 0 alternates streaming blocks, which build DRAM pressure, with
+    /// compute blocks that let it decay, past the point where it reaches
+    /// 0.0, and streams again; core 1 streams a little throughout, so its
+    /// stalls read core 0's pressure. The compute blocks have no patterns
+    /// on one machine and one zero-length pattern, which takes the full
+    /// path, on the other. The machines agree after every block.
+    #[test]
+    fn pattern_free_blocks_match_the_full_path() {
+        let empty = stream(0, 0);
+        let build = |compute_patterns: &[AccessPattern]| {
+            let mut m = Machine::new(MachineConfig::i7_920(3));
+            assert_eq!(m.cfg.dram, DramModel::ddr3_triple_channel());
+            let compute = |cycles: u64| WorkBlock {
+                patterns: compute_patterns.to_vec(),
+                ..WorkBlock::compute(cycles, cycles)
+            };
+            let mut program = VecDeque::new();
+            for round in 0..3 {
+                for block in 0..12 {
+                    let first = (round * 12 + block) * 256;
+                    program.push_back(
+                        WorkBlock::compute(1_024, 1_024).with_pattern(stream(first, 256)),
+                    );
+                }
+                // 10 µs blocks, then 1 ms blocks: 20 pressure windows each.
+                program.extend((0..20).map(|_| compute(26_700)));
+                program.extend((0..50).map(|_| compute(2_670_000)));
+            }
+            let neighbour = (0..2_000)
+                .map(|block| {
+                    WorkBlock::compute(267_000, 267_000).with_pattern(stream(block * 32, 32))
+                })
+                .collect();
+            let pids = [
+                m.spawn("phased", CoreId(0), Box::new(Script(program))),
+                m.spawn("neighbour", CoreId(1), Box::new(Script(neighbour))),
+            ];
+            for core in [CoreId(0), CoreId(1)] {
+                let pmu = m.pmu_mut(core);
+                for (i, event) in [HwEvent::LlcMiss, HwEvent::LlcReference, HwEvent::Load]
+                    .into_iter()
+                    .enumerate()
+                {
+                    let sel = pmu::EventSel::for_event(event).usr(true).enabled(true);
+                    pmu.wrmsr(pmu::msr::perfevtsel(i), sel.bits()).unwrap();
+                }
+                pmu.wrmsr(pmu::msr::IA32_FIXED_CTR_CTRL, 0x222).unwrap();
+                pmu.wrmsr(pmu::msr::IA32_PERF_GLOBAL_CTRL, (0b111 << 32) | 0b111)
+                    .unwrap();
+            }
+            (m, pids)
+        };
+        let (mut free, pids) = build(&[]);
+        let (mut full, _) = build(&[empty]);
+        let (mut decayed, mut zeroed) = (0, 0);
+        let mut rounds = 0;
+        loop {
+            // Each round runs one item on the live core that lags.
+            let live: Vec<usize> = [0, 1]
+                .into_iter()
+                .filter(|&i| !free.process(pids[i]).is_exited())
+                .collect();
+            let Some(lag) = live.iter().map(|&i| free.now_on(CoreId(i))).min() else {
+                break;
+            };
+            let pressure = free.dram.per_core[0].pressure;
+            let before = free.process(pids[0]);
+            let (cpu_user, loads) = (before.cpu_user, before.true_user_events.get(HwEvent::Load));
+            let until = lag + Duration::from_nanos(1);
+            free.run_until(until);
+            full.run_until(until);
+            rounds += 1;
+            let after = free.process(pids[0]);
+            if after.cpu_user != cpu_user && after.true_user_events.get(HwEvent::Load) == loads {
+                // A pattern-free block ran on core 0.
+                if pressure != 0.0 {
+                    decayed += 1;
+                } else {
+                    zeroed += 1;
+                }
+            }
+            for core in [CoreId(0), CoreId(1)] {
+                let at = format!("{core} after {rounds} rounds");
+                assert_eq!(free.now_on(core), full.now_on(core), "{at}");
+                assert_eq!(free.pmu(core).snapshot(), full.pmu(core).snapshot(), "{at}");
+                for privilege in [Privilege::User, Privilege::Kernel] {
+                    assert_eq!(
+                        free.pmu(core).ledger(privilege),
+                        full.pmu(core).ledger(privilege),
+                        "{at}"
+                    );
+                }
+                assert_eq!(free.mem(core).stats(), full.mem(core).stats(), "{at}");
+                let (a, b) = (&free.dram.per_core[core.0], &full.dram.per_core[core.0]);
+                assert_eq!(a.pressure.to_bits(), b.pressure.to_bits(), "{at}");
+            }
+            for pid in pids {
+                let (a, b) = (free.process(pid), full.process(pid));
+                assert_eq!(a.cpu_user, b.cpu_user, "{pid} after {rounds} rounds");
+                assert_eq!(
+                    a.true_user_events, b.true_user_events,
+                    "{pid} after {rounds} rounds"
+                );
+            }
+        }
+        assert!(
+            decayed > 30,
+            "{decayed} pattern-free blocks at non-zero pressure"
+        );
+        assert!(zeroed > 10, "{zeroed} pattern-free blocks at zero pressure");
+        assert!(full.process(pids[1]).is_exited() && full.process(pids[0]).is_exited());
+    }
+
+    /// Two devices with different cost factors charge equal cycle counts,
+    /// and counts that share a table slot, between charges of the
+    /// machine's own: each charge moves the clock, the kernel ledger and
+    /// the process's kernel time and events by exactly what its scaled
+    /// cycles come to.
+    #[test]
+    fn every_charge_matches_its_direct_derivation() {
+        #[derive(Debug)]
+        struct Quiet;
+        impl Device for Quiet {}
+        let mut m = Machine::new(MachineConfig {
+            tool_cost_jitter: 0.1,
+            ..MachineConfig::test_tiny(5)
+        });
+        let (a, b) = (
+            m.register_device(Box::new(Quiet)),
+            m.register_device(Box::new(Quiet)),
+        );
+        let factors = m.device_cost_factor.clone();
+        let scale = |device: Option<DeviceId>, cycles: u64| match device {
+            Some(d) => (cycles as f64 * factors[d.0]) as u64,
+            None => cycles,
+        };
+        for cycles in [110, 140, 900] {
+            assert_ne!(
+                scale(Some(a), cycles),
+                scale(Some(b), cycles),
+                "{factors:?}"
+            );
+        }
+        let slot = |device, cycles| Charge::slot(Charge::charger(device), cycles);
+        let slot_mate = |device: Option<DeviceId>, of: (Option<DeviceId>, u64)| {
+            (1..)
+                .find(|&c| (device, c) != of && slot(device, c) == slot(of.0, of.1))
+                .unwrap()
+        };
+        let plan = [
+            (Some(a), 110),
+            (Some(b), 110),
+            (None, 110),
+            (Some(a), 140),
+            (Some(b), slot_mate(Some(b), (Some(a), 140))),
+            (Some(b), 140),
+            (None, slot_mate(None, (Some(a), 110))),
+            (Some(a), slot_mate(Some(a), (Some(a), 110))),
+            (Some(a), 900),
+            (None, 900),
+            (Some(b), 900),
+            (Some(a), 1),
+            (None, (1 << 53) + 1),
+        ];
+        let core = CoreId(0);
+        let pid = m.spawn(
+            "target",
+            core,
+            Box::new(FixedBlocks::new(0, WorkBlock::default())),
+        );
+        m.cores[core.0].current = Some(pid);
+        for round in 0..3 {
+            for (device, cycles) in plan {
+                let at = format!("round {round}, {device:?} charging {cycles}");
+                let now = m.now_on(core);
+                let ledger = *m.pmu(core).ledger(Privilege::Kernel);
+                let (cpu_kernel, events) =
+                    (m.process(pid).cpu_kernel, m.process(pid).true_kernel_events);
+                match device {
+                    Some(device) => KernelCtx {
+                        machine: &mut m,
+                        core,
+                        device,
+                    }
+                    .charge_kernel_cycles(cycles),
+                    None => m.charge_kernel(core, Some(pid), cycles),
+                }
+                let scaled = scale(device, cycles);
+                let elapsed = m.cfg.freq.cycles_to_duration(scaled);
+                let instructions = m.cfg.cost.kernel_instructions(scaled);
+                let want = EventCounts::new()
+                    .with(HwEvent::InstructionsRetired, instructions)
+                    .with(HwEvent::BranchRetired, instructions / 5)
+                    .with(HwEvent::Load, instructions / 4)
+                    .with(HwEvent::Store, instructions / 8)
+                    .with(HwEvent::CoreCycles, scaled)
+                    .with(HwEvent::RefCycles, scaled);
+                assert_eq!(m.now_on(core) - now, elapsed, "{at}");
+                assert_eq!(
+                    m.pmu(core)
+                        .ledger(Privilege::Kernel)
+                        .saturating_sub(&ledger),
+                    want,
+                    "{at}"
+                );
+                let info = m.process(pid);
+                assert_eq!(info.cpu_kernel - cpu_kernel, elapsed, "{at}");
+                assert_eq!(
+                    info.true_kernel_events.saturating_sub(&events),
+                    want,
+                    "{at}"
+                );
+            }
+        }
     }
 
     #[test]

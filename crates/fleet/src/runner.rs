@@ -805,11 +805,15 @@ fn pool<T: Send, R: Send>(tasks: Vec<T>, width: usize, work: impl Fn(T) -> R + S
 fn replayed_report(stream: RecoveredStream) -> MachineReport {
     let ledger = stream.ledger.unwrap_or_default();
     let target = outline_target(&stream.meta.label, &stream.samples);
+    // The decoded stream is complete: drop the slack its doubling growth
+    // left, as the live path does, before the outcome keeps it.
+    let mut samples = stream.samples;
+    samples.shrink_to_fit();
     MachineReport {
         label: stream.meta.label.clone(),
         seed: stream.meta.seed,
         outcome: MonitorOutcome {
-            samples: stream.samples,
+            samples,
             target,
             status: ledger.status,
             events: stream.meta.events,
@@ -1260,14 +1264,23 @@ mod tests {
     #[test]
     fn report_samples_keep_no_spare_capacity() {
         for (name, config, exercised) in four_runs() {
-            let outcome = FleetRunner::new(config.build())
+            let dir = scratch_dir(&format!("capacity-{name}"));
+            let live = FleetRunner::new(config.clone().persist(&dir).build())
                 .run((0..4).map(spec).collect())
                 .unwrap();
-            assert!(exercised(&outcome), "the {name} run missed its case");
-            for (m, report) in outcome.machines.iter().enumerate() {
-                let samples = &report.outcome.samples;
-                assert_eq!(samples.capacity(), samples.len(), "{name}, machine {m}");
+            assert!(exercised(&live), "the {name} run missed its case");
+            let replayer = ktrace::TraceReplayer::load_dir(&dir).unwrap();
+            let replayed = FleetRunner::new(config.build())
+                .replay(replayer.streams)
+                .unwrap();
+            for (path, outcome) in [("live", &live), ("replayed", &replayed)] {
+                for (m, report) in outcome.machines.iter().enumerate() {
+                    let samples = &report.outcome.samples;
+                    let at = format!("{name}, {path} machine {m}");
+                    assert_eq!(samples.capacity(), samples.len(), "{at}");
+                }
             }
+            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 

@@ -45,6 +45,8 @@ pub enum ConfigError {
         /// Number requested.
         requested: usize,
     },
+    /// A requested event code is not one the PMU models.
+    UnknownEvent(EventCode),
     /// The same event was requested twice.
     DuplicateEvent(HwEvent),
     /// A zero sampling period.
@@ -60,6 +62,11 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "requested {requested} events but only {} programmable counters exist",
                 pmu::NUM_PROGRAMMABLE
+            ),
+            ConfigError::UnknownEvent(code) => write!(
+                f,
+                "event code {:#04x}/{:#04x} is not one the PMU models",
+                code.event, code.umask
             ),
             ConfigError::DuplicateEvent(e) => write!(f, "event {e} requested twice"),
             ConfigError::ZeroPeriod => f.write_str("sampling period must be non-zero"),
@@ -109,7 +116,8 @@ impl MonitorConfig {
         Duration::from_nanos(self.period_ns)
     }
 
-    /// Validates counter fit, duplicates, and non-zero parameters.
+    /// Validates counter fit, event codes, duplicates, and non-zero
+    /// parameters.
     ///
     /// # Errors
     ///
@@ -120,12 +128,13 @@ impl MonitorConfig {
                 requested: self.events.len(),
             });
         }
-        for (i, a) in self.events.iter().enumerate() {
-            for b in &self.events[i + 1..] {
-                if a == b {
-                    let e = HwEvent::from_code(*a).unwrap_or(HwEvent::InstructionsRetired);
-                    return Err(ConfigError::DuplicateEvent(e));
-                }
+        let mut events = Vec::with_capacity(self.events.len());
+        for &code in &self.events {
+            events.push(HwEvent::from_code(code).ok_or(ConfigError::UnknownEvent(code))?);
+        }
+        for (i, a) in events.iter().enumerate() {
+            if events[i + 1..].contains(a) {
+                return Err(ConfigError::DuplicateEvent(*a));
             }
         }
         if self.period_ns == 0 {
@@ -279,6 +288,20 @@ mod tests {
             cfg.validate(),
             Err(ConfigError::DuplicateEvent(HwEvent::Load))
         );
+    }
+
+    #[test]
+    fn unknown_event_rejected_by_its_code() {
+        let unknown = EventCode::new(0xFF, 0xFF);
+        let mut cfg = config();
+        for events in [
+            vec![unknown],
+            vec![unknown, unknown],
+            vec![HwEvent::Load.code(), unknown, HwEvent::Load.code()],
+        ] {
+            cfg.events = events;
+            assert_eq!(cfg.validate(), Err(ConfigError::UnknownEvent(unknown)));
+        }
     }
 
     #[test]

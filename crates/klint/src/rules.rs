@@ -3,7 +3,7 @@
 //! | Rule | Invariant | Scope |
 //! |------|-----------|-------|
 //! | `D1` | no wall-clock / unseeded RNG (`SystemTime::now`, `Instant::now`, argless `thread_rng()`, `from_entropy()`, `rand::random()`) — simulated time comes from `ksim::time`, randomness from seeded `StdRng` | `pmu`, `ksim`, `memsim`, `kleb`, `workloads`, `fleet`, `ktrace`, `kchan`, `bench` |
-//! | `D2` | no `unwrap()` / `expect()` in library code — use typed errors | `pmu`, `ksim`, `kleb`, `ktrace`, `kchan` (non-test); plus `fleet/src/supervisor.rs`, the one fleet file opted in file-by-file |
+//! | `D2` | no `unwrap()` / `expect()` in library code — use typed errors | `pmu`, `ksim`, `memsim`, `kleb`, `ktrace`, `kchan` (non-test); plus `fleet/src/supervisor.rs`, the one fleet file opted in file-by-file |
 //! | `D3` | no `Ordering::Relaxed` on atomics that gate cross-thread data visibility | `fleet`, `kchan` (allowlist: `kchan/src/ring.rs`, the documented ordering-protocol module) |
 //! | `M1` | `wrmsr`/`rdmsr` call sites name a `pmu::msr` constant, never a bare integer MSR address | all crates (non-test) |
 //! | `U1` | every `unsafe` block/fn/impl is preceded by a `// SAFETY:` comment (or a `/// # Safety` doc section) justifying it | all crates |
@@ -89,7 +89,7 @@ impl Rule {
             ),
             Rule::D2 => matches!(
                 crate_name,
-                Some("pmu" | "ksim" | "kleb" | "ktrace" | "kchan")
+                Some("pmu" | "ksim" | "memsim" | "kleb" | "ktrace" | "kchan")
             ),
             Rule::D3 => matches!(crate_name, Some("fleet" | "kchan")),
             Rule::M1 => true,

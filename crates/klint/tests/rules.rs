@@ -94,11 +94,14 @@ fn f(v: Option<u32>) -> u32 {
     v.unwrap() + v.expect(\"msg\")
 }
 ";
-    let v = check_source("crates/pmu/src/x.rs", src);
-    assert_eq!(
-        v.iter().map(|v| v.snippet.as_str()).collect::<Vec<_>>(),
-        vec![".unwrap()", ".expect()"]
-    );
+    for path in ["crates/pmu/src/x.rs", "crates/memsim/src/x.rs"] {
+        let v = check_source(path, src);
+        assert_eq!(
+            v.iter().map(|v| v.snippet.as_str()).collect::<Vec<_>>(),
+            vec![".unwrap()", ".expect()"],
+            "{path}"
+        );
+    }
 }
 
 #[test]

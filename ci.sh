@@ -79,15 +79,14 @@ for workload in paper_overhead docker_mpki fleet_record_replay; do
 done
 
 echo "==> chaos gate (fault injection: accounting, determinism, recovery)"
-cargo test -q --test chaos
+# The chaos, trace and supervision tests ran in the workspace test step
+# above; these gates run the examples that exercise the same paths.
 cargo run -q --release --example fault_matrix -- --quick
 
 echo "==> trace gate (codec round-trip, corruption recovery, record->replay bit-exactness)"
-cargo test -q -p ktrace
 cargo run -q --release --example record_replay -- --quick
 
 echo "==> supervision gate (panic containment, deterministic restart, breakers, partial outcomes)"
-cargo test -q --test supervision
 cargo run -q --release --example supervision -- --quick
 
 echo "==> governor gate (closed-loop rate control beats the best coverage-matching fixed period)"

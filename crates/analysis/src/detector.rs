@@ -22,7 +22,7 @@ pub enum Detection {
 
 impl Detection {
     /// True for [`Detection::Anomalous`].
-    pub fn is_anomalous(&self) -> bool {
+    fn is_anomalous(&self) -> bool {
         matches!(self, Detection::Anomalous { .. })
     }
 }
@@ -31,13 +31,13 @@ impl Detection {
 /// control band (an EWMA control chart).
 ///
 /// ```
-/// use analysis::detector::EwmaDetector;
+/// use analysis::detector::{Detection, EwmaDetector};
 ///
 /// let mut d = EwmaDetector::new(0.2, 4.0, 8);
 /// for _ in 0..20 {
-///     assert!(!d.update(100.0).is_anomalous());
+///     assert!(!matches!(d.update(100.0), Detection::Anomalous { .. }));
 /// }
-/// assert!(d.update(100_000.0).is_anomalous());
+/// assert!(matches!(d.update(100_000.0), Detection::Anomalous { .. }));
 /// ```
 #[derive(Debug, Clone)]
 pub struct EwmaDetector {

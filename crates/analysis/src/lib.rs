@@ -7,7 +7,7 @@ pub mod metrics;
 pub mod phases;
 pub mod stats;
 pub mod table;
-pub mod timeseries;
+mod timeseries;
 pub mod trace;
 
 pub use detector::{Detection, EwmaDetector};
@@ -15,7 +15,7 @@ pub use metrics::{
     gflops, mpki, overhead_proxy, performance_loss_percent, sample_coverage, IntensityClass,
 };
 pub use phases::{detect_phases, Phase, PhaseKind};
-pub use stats::{five_number, mad, mean, median, percentile, robust_z, stddev, FiveNumber};
+pub use stats::{five_number, mean, median, robust_z, stddev, FiveNumber};
 pub use table::TextTable;
-pub use timeseries::{downsample, moving_average, sparkline};
+pub use timeseries::{downsample, sparkline};
 pub use trace::{TraceSeries, LANE_INSTRUCTIONS};

@@ -25,7 +25,7 @@ pub fn stddev(values: &[f64]) -> f64 {
 /// # Panics
 ///
 /// Panics if `values` is empty or `p` is outside `0..=100`.
-pub fn percentile(values: &[f64], p: f64) -> f64 {
+fn percentile(values: &[f64], p: f64) -> f64 {
     assert!(!values.is_empty(), "percentile of an empty slice");
     assert!((0.0..=100.0).contains(&p), "percentile out of range");
     let mut sorted: Vec<f64> = values.to_vec();
@@ -49,7 +49,7 @@ pub fn median(values: &[f64]) -> f64 {
 }
 
 /// Median absolute deviation from the median; `0.0` for an empty slice.
-pub fn mad(values: &[f64]) -> f64 {
+fn mad(values: &[f64]) -> f64 {
     if values.is_empty() {
         return 0.0;
     }

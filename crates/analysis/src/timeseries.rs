@@ -21,21 +21,6 @@ pub fn downsample(values: &[u64], buckets: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Centered moving average with window `w` (odd windows recommended).
-pub fn moving_average(values: &[f64], w: usize) -> Vec<f64> {
-    if w <= 1 || values.is_empty() {
-        return values.to_vec();
-    }
-    let half = w / 2;
-    (0..values.len())
-        .map(|i| {
-            let lo = i.saturating_sub(half);
-            let hi = (i + half + 1).min(values.len());
-            values[lo..hi].iter().sum::<f64>() / (hi - lo) as f64
-        })
-        .collect()
-}
-
 const SPARK_LEVELS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
 
 /// Renders a one-line Unicode sparkline of `values`, scaled to their range.
@@ -72,14 +57,6 @@ mod tests {
         assert_eq!(downsample(&v, 10), vec![1.0, 2.0]);
         assert!(downsample(&[], 4).is_empty());
         assert!(downsample(&v, 0).is_empty());
-    }
-
-    #[test]
-    fn moving_average_smooths() {
-        let v = [0.0, 10.0, 0.0, 10.0, 0.0];
-        let s = moving_average(&v, 3);
-        assert!((s[2] - 20.0 / 3.0).abs() < 1e-9);
-        assert_eq!(moving_average(&v, 1), v.to_vec());
     }
 
     #[test]

@@ -102,19 +102,6 @@ impl TraceSeries {
         Some(mpki(misses, instructions))
     }
 
-    /// Per-sample MPKI series for `miss_event` (the paper's Fig. 7
-    /// detection signal), or `None` if the event was not programmed.
-    pub fn mpki_series(&self, miss_event: HwEvent) -> Option<Vec<f64>> {
-        let lane = self.lane_of(miss_event)?;
-        Some(
-            self.lanes[lane]
-                .iter()
-                .zip(&self.lanes[LANE_INSTRUCTIONS])
-                .map(|(&m, &i)| mpki(m, i))
-                .collect(),
-        )
-    }
-
     /// Phase detection over the programmable lanes — the same call the
     /// live pipeline makes, applied to a trace read back off disk.
     pub fn phases(&self, quiet_threshold: u64, dominance: f64, min_len: usize) -> Vec<Phase> {
@@ -168,15 +155,11 @@ mod tests {
     }
 
     #[test]
-    fn mpki_totals_and_series() {
+    fn mpki_totals() {
         let series = TraceSeries::from_stream(&stream());
         let total = series.total_mpki(HwEvent::LlcMiss).unwrap();
         // (50·1 + 50·40) misses over 100k instructions.
         assert!((total - 20.5).abs() < 1e-9, "got {total}");
-        let per = series.mpki_series(HwEvent::LlcMiss).unwrap();
-        assert_eq!(per.len(), 100);
-        assert!((per[0] - 1.0).abs() < 1e-9);
-        assert!((per[99] - 40.0).abs() < 1e-9);
         assert_eq!(series.total_mpki(HwEvent::ArithMul), None);
     }
 

@@ -74,7 +74,8 @@ impl ToolRun {
     /// target's user-mode events (plus kernel-mode when `count_kernel`).
     ///
     /// Returns `None` when the event was not requested or the truth is zero.
-    pub fn relative_error(&self, event: HwEvent, count_kernel: bool) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn relative_error(&self, event: HwEvent, count_kernel: bool) -> Option<f64> {
         let reported = self.total(event)? as f64;
         let mut truth = self.target.true_user_events.get(event);
         if count_kernel {

@@ -14,15 +14,15 @@
 //! [`run_tool`] dispatches a uniform [`ToolSpec`] so harnesses can sweep all
 //! tools; [`run_unmonitored`] provides the no-profiling baseline.
 
-pub mod common;
-pub mod kleb_tool;
-pub mod limit;
+mod common;
+mod kleb_tool;
+mod limit;
 #[cfg(test)]
 mod malformed;
-pub mod papi;
-pub mod perf_kernel;
-pub mod perf_record;
-pub mod perf_stat;
+mod papi;
+mod perf_kernel;
+mod perf_record;
+mod perf_stat;
 
 pub use common::{overhead_percent, ToolRun, ToolSample};
 pub use kleb_tool::run_kleb;
@@ -30,7 +30,7 @@ pub use limit::{run_limit, LimitCosts};
 pub use papi::{run_papi, PapiCosts};
 pub use perf_kernel::{PerfEventKernel, PerfKernelCosts};
 pub use perf_record::{run_perf_record, PerfRecordCosts};
-pub use perf_stat::{run_perf_stat, PerfStatCosts, PERF_MIN_INTERVAL};
+pub use perf_stat::{run_perf_stat, PerfStatCosts};
 
 use pmu::HwEvent;
 

@@ -26,7 +26,7 @@ use crate::ToolError;
 
 /// `ioctl`: enable the LiMiT patch for the calling process. The payload is
 /// the events as a [`ksim::wire`] list of `(event, umask)` byte pairs.
-pub const LIMIT_OPEN: u64 = 0x5201;
+pub(crate) const LIMIT_OPEN: u64 = 0x5201;
 
 /// LiMiT cost profile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,14 +99,14 @@ struct Session {
 
 /// The LiMiT kernel patch.
 #[derive(Debug)]
-pub struct LimitKernel {
+pub(crate) struct LimitKernel {
     costs: LimitCosts,
     session: Option<Session>,
 }
 
 impl LimitKernel {
     /// A fresh (patched-in) instance.
-    pub fn new(costs: LimitCosts) -> Self {
+    pub(crate) fn new(costs: LimitCosts) -> Self {
         Self {
             costs,
             session: None,
@@ -234,7 +234,7 @@ const RDPMC_FIXED: u32 = 0x4000_0000;
 
 /// A workload instrumented with LiMiT user-space counter reads.
 #[derive(Debug)]
-pub struct LimitInstrumented {
+struct LimitInstrumented {
     inner: Box<dyn Workload>,
     device: DeviceId,
     events: Vec<HwEvent>,

@@ -85,7 +85,7 @@ enum Pending {
 
 /// A workload instrumented with PAPI calls.
 #[derive(Debug)]
-pub struct PapiInstrumented {
+struct PapiInstrumented {
     inner: Box<dyn Workload>,
     device: DeviceId,
     events: Vec<HwEvent>,

@@ -29,16 +29,16 @@ use crate::ToolError;
 /// `ioctl`: open a sampling session. The payload is `target` u32, the
 /// events as a list of `(event, umask)` byte pairs, `period_cycles` u64,
 /// then a `count_kernel` bool ([`ksim::wire`]).
-pub const RECORD_OPEN: u64 = 0x5101;
+pub(crate) const RECORD_OPEN: u64 = 0x5101;
 /// `ioctl`: drain buffered samples. The out payload is a list of samples,
 /// each a `u64` timestamp, a list of `u64` event deltas and a `u64`
 /// instruction delta, then a `target_alive` bool ([`ksim::wire`]).
-pub const RECORD_DRAIN: u64 = 0x5102;
+pub(crate) const RECORD_DRAIN: u64 = 0x5102;
 /// `ioctl`: close the session.
-pub const RECORD_CLOSE: u64 = 0x5103;
+const RECORD_CLOSE: u64 = 0x5103;
 
 /// Events that fit beside the sampling counter (PMC0 is the cycle counter).
-pub const MAX_RECORD_EVENTS: usize = 3;
+const MAX_RECORD_EVENTS: usize = 3;
 
 /// Cycle costs of the perf-record paths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -184,14 +184,14 @@ struct Session {
 
 /// The perf-record kernel side.
 #[derive(Debug)]
-pub struct PerfRecordModule {
+pub(crate) struct PerfRecordModule {
     costs: PerfRecordCosts,
     session: Option<Session>,
 }
 
 impl PerfRecordModule {
     /// A fresh instance.
-    pub fn new(costs: PerfRecordCosts) -> Self {
+    pub(crate) fn new(costs: PerfRecordCosts) -> Self {
         Self {
             costs,
             session: None,

@@ -27,7 +27,7 @@ use crate::perf_kernel::{
 use crate::ToolError;
 
 /// perf's user-space interval floor (§II-C: "10 ms or slower").
-pub const PERF_MIN_INTERVAL: Duration = Duration::from_millis(10);
+const PERF_MIN_INTERVAL: Duration = Duration::from_millis(10);
 
 /// Costs of the perf-stat user-space interval work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

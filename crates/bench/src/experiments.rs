@@ -20,13 +20,13 @@ pub const EVENTS_DETERMINISTIC: [HwEvent; 3] =
     [HwEvent::BranchRetired, HwEvent::Load, HwEvent::Store];
 
 /// Cache events for the Meltdown case study (paper Figs. 6-7).
-pub const EVENTS_CACHE: [HwEvent; 2] = [HwEvent::LlcReference, HwEvent::LlcMiss];
+const EVENTS_CACHE: [HwEvent; 2] = [HwEvent::LlcReference, HwEvent::LlcMiss];
 
 /// The paper's sampling period for the long-running studies.
 pub const PERIOD_10MS: Duration = Duration::from_millis(10);
 
 /// The paper's headline high-frequency period.
-pub const PERIOD_100US: Duration = Duration::from_micros(100);
+const PERIOD_100US: Duration = Duration::from_micros(100);
 
 fn machine(seed: u64) -> Machine {
     Machine::new(MachineConfig::i7_920(seed))
@@ -127,7 +127,7 @@ pub struct Fig4Result {
 /// The sampling period for Fig. 4: the paper's 10 ms at full problem size,
 /// scaled down with the cube of the problem size so reduced-scale runs keep
 /// roughly the paper's ~200-sample resolution.
-pub fn fig4_period(scale: &Scale) -> Duration {
+fn fig4_period(scale: &Scale) -> Duration {
     if scale.linpack_n >= 4_500 {
         return PERIOD_10MS;
     }
@@ -372,7 +372,7 @@ pub struct OverheadRow {
 /// Runs the paper's overhead methodology: `trials` paired runs of
 /// `workload_factory(seed)` bare and under each tool in `specs`, all at
 /// `period` (instrumented tools read every `read_every` blocks).
-pub fn overhead_study(
+fn overhead_study(
     workload_factory: &dyn Fn(u64) -> Box<dyn Workload>,
     specs: &[ToolSpec],
     trials: u64,

@@ -70,13 +70,6 @@ pub struct FleetAnomalyReport {
     pub flagged: Vec<usize>,
 }
 
-impl FleetAnomalyReport {
-    /// Whether any machine was flagged.
-    pub fn any_flagged(&self) -> bool {
-        !self.flagged.is_empty()
-    }
-}
-
 /// Scores every machine in `store` against `config`.
 ///
 /// Returns an empty report (nothing flagged) if the miss event is not
@@ -206,7 +199,7 @@ mod tests {
             store.ingest(m, &batch);
         }
         let report = scan_fleet(&store, &AnomalyConfig::default());
-        assert!(!report.any_flagged(), "flagged {:?}", report.flagged);
+        assert!(report.flagged.is_empty(), "flagged {:?}", report.flagged);
     }
 
     #[test]
@@ -218,7 +211,7 @@ mod tests {
         };
         let report = scan_fleet(&store, &cfg);
         assert!(report.verdicts.is_empty());
-        assert!(!report.any_flagged());
+        assert!(report.flagged.is_empty());
     }
 
     #[test]

@@ -74,11 +74,6 @@ impl ChannelStats {
     pub fn total_dropped(&self) -> u64 {
         self.dropped.iter().sum()
     }
-
-    /// Total samples offered across all streams.
-    pub fn total_sent(&self) -> u64 {
-        self.sent.iter().sum()
-    }
 }
 
 /// The collector-side doorbell producers ring when they publish into an
@@ -494,7 +489,7 @@ mod tests {
         }
         let stats = rx.stats();
         assert_eq!(stats.total_dropped(), 0);
-        assert_eq!(received, stats.total_sent());
+        assert_eq!(received, stats.sent.iter().sum::<u64>());
         assert_eq!(stats.delivered, stats.sent);
         assert!(stats.block_waits > 0, "tiny rings must have blocked");
     }

@@ -7,7 +7,7 @@
 //! deterministic pool of at most one worker per host core (the calling
 //! thread is one of them). When every machine has finished, its samples
 //! go into its shard of a [`FleetStore`], where windowed queries and the
-//! [`detect`] fan-in pass operate across the fleet. The pipeline observes
+//! [`scan_fleet`] fan-in pass operate across the fleet. The pipeline observes
 //! itself through [`FleetMetrics`], a summary of each run's reports, and
 //! the [`governor`] module can hold the whole fleet inside an aggregate
 //! sampling budget while each machine's AIMD loop rides out its own
@@ -41,7 +41,7 @@
 //! # Ok::<(), fleet::FleetError>(())
 //! ```
 
-pub mod detect;
+mod detect;
 pub mod governor;
 pub mod ingest;
 pub(crate) mod ksync;
@@ -58,8 +58,5 @@ pub use runner::{
     FleetConfig, FleetConfigBuilder, FleetError, FleetOutcome, FleetRunner, MachineReport,
     MachineSpec, WorkloadFactory,
 };
-pub use store::{FleetStore, Lane, MachineSnapshot, Point, StoreStats, Window};
-pub use supervisor::{
-    panic_message, BreakerState, CircuitBreaker, FailureKind, HealthReport, MachineFailure,
-    SupervisedRun, SupervisorPolicy,
-};
+pub use store::{FleetStore, Lane, Point, StoreStats, Window};
+pub use supervisor::{BreakerState, FailureKind, HealthReport, MachineFailure, SupervisedRun};

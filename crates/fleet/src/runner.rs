@@ -31,7 +31,7 @@ use crate::ingest::{Backpressure, ChannelStats};
 use crate::metrics::FleetMetrics;
 use crate::store::FleetStore;
 use crate::supervisor::{
-    supervise_machine, HealthReport, MachineFailure, MachineTask, SupervisedRun, SupervisorPolicy,
+    supervise_machine, HealthReport, MachineFailure, MachineTask, SupervisedRun,
 };
 
 /// Per-shard point capacity of the store.
@@ -115,7 +115,8 @@ pub struct FleetConfig {
     /// Module cost tuning.
     pub tuning: KlebTuning,
     /// Has no effect on a run: no ring sits between a machine and the
-    /// store, so every run is lossless. Kept for callers that set it.
+    /// store, so every run is lossless. perfbench is its only setter;
+    /// ROADMAP item 2 removes it together with the ring.
     pub backpressure: Backpressure,
     /// Machine hardware model, built from the spec's seed.
     pub machine_config: fn(u64) -> MachineConfig,
@@ -130,11 +131,6 @@ pub struct FleetConfig {
     /// drop ledger and the controller's recovery stats. `None` records
     /// nothing.
     pub persist_dir: Option<PathBuf>,
-    /// Restart budget and circuit-breaker tuning for the per-machine
-    /// supervisor. The default allows 3 restarts; see
-    /// [`crate::supervisor`] for the determinism contract (a clean run
-    /// never touches any of it).
-    pub supervision: SupervisorPolicy,
     /// Closed-loop rate governance. `None` (the default) runs every
     /// machine at the fixed configured period, exactly as fleets always
     /// did; `Some` derives a per-machine [`kleb::RatePolicy`] from the
@@ -161,7 +157,6 @@ impl FleetConfig {
             machine_config: MachineConfig::i7_920,
             faults: None,
             persist_dir: None,
-            supervision: SupervisorPolicy::default(),
             governor: None,
             drain_interval: None,
         }
@@ -216,13 +211,6 @@ impl FleetConfigBuilder {
     /// `dir` (created if missing at run time).
     pub fn persist(mut self, dir: impl Into<PathBuf>) -> Self {
         self.config.persist_dir = Some(dir.into());
-        self
-    }
-
-    /// Overrides the supervision policy (restart budget, circuit
-    /// breaker).
-    pub fn supervise(mut self, policy: SupervisorPolicy) -> Self {
-        self.config.supervision = policy;
         self
     }
 
@@ -543,10 +531,10 @@ impl FleetRunner {
     /// Runs every spec to completion on the worker pool.
     ///
     /// Blocks until every machine has finished and its samples are in
-    /// the store. Every machine runs under the configured
-    /// [`SupervisorPolicy`]: panics are contained, restarts consume the
-    /// budget, and a terminal failure degrades the outcome instead of
-    /// discarding it — see [`crate::supervisor`].
+    /// the store. Every machine runs under the supervisor: panics are
+    /// contained, restarts consume a fixed budget, and a terminal
+    /// failure degrades the outcome instead of discarding it — see
+    /// [`crate::supervisor`].
     ///
     /// # Errors
     ///
@@ -614,7 +602,6 @@ impl FleetRunner {
                     machine_config: self.config.machine_config,
                     faults: self.config.faults,
                     workload: spec.workload,
-                    policy: self.config.supervision,
                     trace_path,
                 }
             })
@@ -805,8 +792,9 @@ fn pool<T: Send, R: Send>(tasks: Vec<T>, width: usize, work: impl Fn(T) -> R + S
 fn replayed_report(stream: RecoveredStream) -> MachineReport {
     let ledger = stream.ledger.unwrap_or_default();
     let target = outline_target(&stream.meta.label, &stream.samples);
-    // The decoded stream is complete: drop the slack its doubling growth
-    // left, as the live path does, before the outcome keeps it.
+    // A sealed stream decodes into exactly the count its manifest
+    // records, so this trims only a damaged stream's unused reserve
+    // before the outcome keeps it.
     let mut samples = stream.samples;
     samples.shrink_to_fit();
     MachineReport {
@@ -923,9 +911,9 @@ mod tests {
         assert!(outcome.metrics.samples_ingested > 0);
         assert_eq!(
             outcome.metrics.samples_ingested,
-            outcome.channel.total_sent()
+            outcome.channel.sent.iter().sum::<u64>()
         );
-        assert!(outcome.store.fleet_window_sum(Lane::Pmc(1), Window::all()) > 0);
+        assert!((0..4).any(|m| outcome.store.window_sum(m, Lane::Pmc(1), Window::all()) > 0));
     }
 
     #[test]

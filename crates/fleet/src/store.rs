@@ -11,8 +11,8 @@
 //!
 //! Windowed aggregation is incremental, not a scan: per-machine
 //! timestamps are monotone, so a window's bounds are two binary searches
-//! over the timestamp column and `window_sum` / `window_rate` /
-//! `window_mpki` are O(log n) in the machine's retained samples.
+//! over the timestamp column and `window_sum` / `window_mpki` are
+//! O(log n) in the machine's retained samples.
 //!
 //! Invariants (property-tested in `tests/store_props.rs`):
 //! - below capacity, every accepted sample is retained in full;
@@ -37,8 +37,6 @@ pub enum Lane {
 impl Lane {
     /// The instructions-retired lane (fixed counter 0).
     pub const INSTRUCTIONS: Lane = Lane::Fixed(0);
-    /// The core-cycles lane (fixed counter 1).
-    pub const CORE_CYCLES: Lane = Lane::Fixed(1);
 }
 
 /// One stored point: a per-period counter delta at its sample time.
@@ -128,9 +126,6 @@ pub struct StoreStats {
     pub evicted_points: u64,
 }
 
-/// All lanes of one machine, extractable for bit-exact comparison.
-pub type MachineSnapshot = Vec<Vec<Point>>;
-
 /// The fleet-wide sample store.
 #[derive(Debug, Clone)]
 pub struct FleetStore {
@@ -172,11 +167,6 @@ impl FleetStore {
     /// The programmed events, in `Lane::Pmc` index order.
     pub fn events(&self) -> &[HwEvent] {
         &self.events
-    }
-
-    /// Per-lane point capacity: samples retained per machine.
-    pub fn shard_capacity(&self) -> usize {
-        self.shard_capacity
     }
 
     /// The `Lane::Pmc` lane for `event`, if it was configured.
@@ -262,20 +252,6 @@ impl FleetStore {
         columns.points(lane, 0, columns.ts.len())
     }
 
-    /// Points of one lane restricted to a window, oldest first. The
-    /// bounds come from a binary search, not a scan: the iterator starts
-    /// at the window's first point.
-    pub fn window_points(
-        &self,
-        machine: usize,
-        lane: Lane,
-        window: Window,
-    ) -> impl Iterator<Item = Point> + '_ {
-        let (columns, lane) = self.column(machine, lane);
-        let (lo, hi) = columns.bounds(window);
-        columns.points(lane, lo, hi)
-    }
-
     /// Points evicted from one lane since creation.
     pub fn evicted(&self, machine: usize, lane: Lane) -> u64 {
         self.column(machine, lane).0.evicted
@@ -294,55 +270,12 @@ impl FleetStore {
         columns.range_sum(lane, lo, hi)
     }
 
-    /// Events per second over a window of one lane, from the covered
-    /// points' own time span. Zero with fewer than two points.
-    ///
-    /// O(log n): the span comes from the window's two endpoint
-    /// timestamps, the numerator from the prefix sums.
-    pub fn window_rate(&self, machine: usize, lane: Lane, window: Window) -> f64 {
-        let (columns, lane) = self.column(machine, lane);
-        let (lo, hi) = columns.bounds(window);
-        if hi - lo < 2 {
-            return 0.0;
-        }
-        let (first, last) = (columns.ts[lo], columns.ts[hi - 1]);
-        if last <= first {
-            return 0.0;
-        }
-        let span_s = (last - first) as f64 / 1e9;
-        columns.range_sum(lane, lo, hi) as f64 / span_s
-    }
-
-    /// The `p`-th percentile of per-sample deltas in a window of one
-    /// lane (via `analysis::stats`). Zero on an empty window.
-    ///
-    /// Collects the window's deltas once, straight into the `f64` buffer
-    /// the percentile needs.
-    pub fn window_percentile(&self, machine: usize, lane: Lane, window: Window, p: f64) -> f64 {
-        let deltas: Vec<f64> = self
-            .window_points(machine, lane, window)
-            .map(|pt| pt.delta as f64)
-            .collect();
-        if deltas.is_empty() {
-            0.0
-        } else {
-            analysis::percentile(&deltas, p)
-        }
-    }
-
     /// Misses-per-kilo-instruction over a window: `miss_lane` summed
     /// against the instructions lane.
     pub fn window_mpki(&self, machine: usize, miss_lane: Lane, window: Window) -> f64 {
         let misses = self.window_sum(machine, miss_lane, window);
         let instructions = self.window_sum(machine, Lane::INSTRUCTIONS, window);
         analysis::mpki(misses, instructions)
-    }
-
-    /// Sum of a lane's deltas in a window across every machine.
-    pub fn fleet_window_sum(&self, lane: Lane, window: Window) -> u64 {
-        (0..self.machines.len())
-            .map(|m| self.window_sum(m, lane, window))
-            .sum()
     }
 
     /// Retained points in one lane.
@@ -360,11 +293,6 @@ impl FleetStore {
             .map(|(miss, instr)| analysis::mpki(miss.delta, instr.delta))
     }
 
-    /// [`FleetStore::mpki_iter`], collected.
-    pub fn mpki_series(&self, machine: usize, miss_lane: Lane) -> Vec<f64> {
-        self.mpki_iter(machine, miss_lane).collect()
-    }
-
     /// Every lane, in snapshot and digest order: the fixed lanes, then
     /// the programmed events.
     pub(crate) fn all_lanes(&self) -> impl Iterator<Item = Lane> {
@@ -375,7 +303,7 @@ impl FleetStore {
 
     /// Every retained point of one machine, lane-major — bit-exact
     /// equality of two snapshots proves bit-exact streams.
-    pub fn machine_snapshot(&self, machine: usize) -> MachineSnapshot {
+    pub fn machine_snapshot(&self, machine: usize) -> Vec<Vec<Point>> {
         self.all_lanes()
             .map(|lane| self.points(machine, lane).collect())
             .collect()
@@ -454,21 +382,6 @@ mod tests {
         };
         assert_eq!(s.window_sum(0, Lane::Pmc(1), w), 3, "end is exclusive");
         assert_eq!(s.window_mpki(0, Lane::Pmc(1), w), 3.0 / (20.0 / 1000.0));
-        assert!(s.window_rate(0, Lane::INSTRUCTIONS, Window::all()) > 0.0);
-        assert_eq!(s.fleet_window_sum(Lane::Pmc(1), Window::all()), 7);
-    }
-
-    #[test]
-    fn percentile_of_deltas() {
-        let mut s = FleetStore::new(1, vec![HwEvent::LlcReference, HwEvent::LlcMiss], 16);
-        let batch: Vec<Sample> = (1..=9).map(|i| sample(i * 100, 1, i)).collect();
-        s.ingest(0, &batch);
-        let p50 = s.window_percentile(0, Lane::Pmc(1), Window::all(), 50.0);
-        assert_eq!(p50, 5.0);
-        assert_eq!(
-            s.window_percentile(0, Lane::Pmc(1), Window::all(), 100.0),
-            9.0
-        );
     }
 
     #[test]
@@ -516,28 +429,6 @@ mod tests {
     }
 
     #[test]
-    fn window_rate_matches_endpoint_arithmetic() {
-        let mut s = store();
-        s.ingest(
-            0,
-            &[
-                sample(0, 10, 0),
-                sample(1_000_000_000, 30, 0),
-                sample(2_000_000_000, 60, 0),
-            ],
-        );
-        // 100 events over a 2-second span.
-        let rate = s.window_rate(0, Lane::INSTRUCTIONS, Window::all());
-        assert_eq!(rate, 50.0);
-        // A one-point window has no span.
-        let w = Window {
-            start_ns: 0,
-            end_ns: 1,
-        };
-        assert_eq!(s.window_rate(0, Lane::INSTRUCTIONS, w), 0.0);
-    }
-
-    #[test]
     fn lane_len_counts_retained_points() {
         let mut s = FleetStore::new(1, vec![], 4);
         assert_eq!(s.lane_len(0, Lane::INSTRUCTIONS), 0);
@@ -547,9 +438,10 @@ mod tests {
     }
 
     #[test]
-    fn mpki_series_pairs_lanes() {
+    fn mpki_iter_pairs_lanes() {
         let mut s = store();
         s.ingest(0, &[sample(100, 1000, 5), sample(200, 2000, 4)]);
-        assert_eq!(s.mpki_series(0, Lane::Pmc(1)), vec![5.0, 2.0]);
+        let series: Vec<f64> = s.mpki_iter(0, Lane::Pmc(1)).collect();
+        assert_eq!(series, vec![5.0, 2.0]);
     }
 }

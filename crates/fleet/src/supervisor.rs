@@ -7,13 +7,13 @@
 //!
 //! - **Containment** — each monitor attempt runs under
 //!   [`std::panic::catch_unwind`]; the panic payload is downcast back to
-//!   its message ([`panic_message`]) and recorded as a typed
+//!   its message and recorded as a typed
 //!   [`MachineFailure`] instead of being dropped on the floor. A panic
 //!   outside the attempts (in the machine-config or workload factory) is
 //!   contained too: it fails that machine alone, and the rest of its
 //!   worker's machines still run.
 //! - **Restart** — a panicked machine is rebuilt and re-run at once,
-//!   under a bounded budget ([`SupervisorPolicy::max_restarts`]). The
+//!   under a bounded budget of `MAX_RESTARTS` (3) restarts. The
 //!   retry's fault RNG is salted by attempt number
 //!   (`ksim::FaultState::for_attempt`) so it does not deterministically
 //!   hit the identical crash point forever, and the monitor resumes
@@ -21,8 +21,9 @@
 //!   timestamps stay globally monotone across incarnations — the first
 //!   resumed sample carries the `gap` flag because whatever the dead
 //!   incarnation had buffered is gone, and the ledger says so.
-//! - **Circuit breaking** — a per-machine [`CircuitBreaker`]
-//!   (Closed → Open → HalfOpen) records hot restart loops. It is a pure
+//! - **Circuit breaking** — a per-machine circuit breaker
+//!   (Closed → Open → HalfOpen, tripping at `BREAKER_THRESHOLD` (2)
+//!   consecutive failures) records hot restart loops. It is a pure
 //!   state machine over the failure sequence: an open breaker admits the
 //!   next attempt as its half-open probe.
 //! - **Partial outcomes** — every machine reports a [`HealthReport`];
@@ -48,48 +49,6 @@ use ktrace::{SharedWriter, StreamHealth, StreamLedger, StreamMeta, TraceWriter};
 
 use crate::runner::{outline_report, MachineReport, WorkloadFactory};
 
-/// Restart and circuit-breaker tuning for one fleet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SupervisorPolicy {
-    /// Restarts a machine may consume before it is declared failed.
-    /// Zero disables restarting: the first panic is terminal (but still
-    /// contained and typed).
-    pub max_restarts: u32,
-    /// Consecutive failures that trip the breaker open.
-    pub breaker_threshold: u32,
-}
-
-impl Default for SupervisorPolicy {
-    fn default() -> Self {
-        Self {
-            max_restarts: 3,
-            breaker_threshold: 2,
-        }
-    }
-}
-
-impl SupervisorPolicy {
-    /// No restarts at all: panics are contained and typed, never retried.
-    pub fn no_restarts() -> Self {
-        Self {
-            max_restarts: 0,
-            ..Self::default()
-        }
-    }
-
-    /// Overrides the restart budget.
-    pub fn max_restarts(mut self, restarts: u32) -> Self {
-        self.max_restarts = restarts;
-        self
-    }
-
-    /// Overrides the breaker's consecutive-failure threshold.
-    pub fn breaker_threshold(mut self, failures: u32) -> Self {
-        self.breaker_threshold = failures.max(1);
-        self
-    }
-}
-
 /// Circuit-breaker position.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum BreakerState {
@@ -114,7 +73,7 @@ impl BreakerState {
     }
 
     /// Inverse of [`BreakerState::tag`]; unknown tags decode `Closed`.
-    pub fn from_tag(tag: u8) -> Self {
+    fn from_tag(tag: u8) -> Self {
         match tag {
             1 => BreakerState::Open,
             2 => BreakerState::HalfOpen,
@@ -123,38 +82,32 @@ impl BreakerState {
     }
 }
 
-/// Per-machine circuit breaker: Closed → Open on
-/// `threshold` consecutive failures (or any half-open probe failure),
-/// Open → HalfOpen when the next request is admitted as its probe,
-/// HalfOpen → Closed on a probe success.
+/// Restarts a machine may consume before it is declared failed.
+const MAX_RESTARTS: u32 = 3;
+
+/// Consecutive failures that trip a machine's breaker open.
+const BREAKER_THRESHOLD: u32 = 2;
+
+/// Per-machine circuit breaker: Closed → Open on [`BREAKER_THRESHOLD`]
+/// consecutive failures (or any half-open probe failure), Open →
+/// HalfOpen when the next request is admitted as its probe, HalfOpen →
+/// Closed on a probe success.
 ///
 /// A pure state machine over the sequence of requests and their
 /// results: it reads no clock, so its trips and final state depend on
 /// nothing else.
-#[derive(Debug, Clone)]
-pub struct CircuitBreaker {
+#[derive(Debug, Clone, Default)]
+struct CircuitBreaker {
     state: BreakerState,
-    threshold: u32,
     consecutive_failures: u32,
     trips: u8,
 }
 
 impl CircuitBreaker {
-    /// A closed breaker tripping after `threshold` consecutive failures
-    /// (min 1).
-    pub fn new(threshold: u32) -> Self {
-        Self {
-            state: BreakerState::Closed,
-            threshold: threshold.max(1),
-            consecutive_failures: 0,
-            trips: 0,
-        }
-    }
-
     /// May a request proceed? Closed always admits; Open admits the
     /// request as its single probe and turns HalfOpen; HalfOpen refuses
     /// further requests while the probe is outstanding.
-    pub fn allow(&mut self) -> bool {
+    fn allow(&mut self) -> bool {
         match self.state {
             BreakerState::Closed => true,
             BreakerState::Open => {
@@ -167,7 +120,7 @@ impl CircuitBreaker {
 
     /// The admitted request succeeded: reset the failure streak and
     /// close the breaker (a half-open probe success heals it).
-    pub fn record_success(&mut self) {
+    fn record_success(&mut self) {
         self.consecutive_failures = 0;
         self.state = BreakerState::Closed;
     }
@@ -175,11 +128,11 @@ impl CircuitBreaker {
     /// The admitted request failed. A half-open probe failure re-trips
     /// immediately; a closed breaker trips once the streak reaches the
     /// threshold.
-    pub fn record_failure(&mut self) {
+    fn record_failure(&mut self) {
         self.consecutive_failures += 1;
         let trip = match self.state {
             BreakerState::HalfOpen => true,
-            BreakerState::Closed => self.consecutive_failures >= self.threshold,
+            BreakerState::Closed => self.consecutive_failures >= BREAKER_THRESHOLD,
             BreakerState::Open => false,
         };
         if trip {
@@ -189,12 +142,12 @@ impl CircuitBreaker {
     }
 
     /// Current position.
-    pub fn state(&self) -> BreakerState {
+    fn state(&self) -> BreakerState {
         self.state
     }
 
     /// Times the breaker has tripped open.
-    pub fn trips(&self) -> u8 {
+    fn trips(&self) -> u8 {
         self.trips
     }
 }
@@ -255,7 +208,7 @@ impl std::fmt::Display for MachineFailure {
 /// else (a `panic_any` with an exotic type) is reported as opaque rather
 /// than discarded along with the whole report — which is exactly what
 /// the old `"machine thread panicked"` string used to do.
-pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     match payload.downcast::<String>() {
         Ok(s) => *s,
         Err(payload) => match payload.downcast::<&'static str>() {
@@ -308,7 +261,7 @@ impl HealthReport {
     }
 
     /// Packs the digest-relevant health fields for the persisted ledger.
-    pub fn to_stream_health(&self) -> StreamHealth {
+    fn to_stream_health(&self) -> StreamHealth {
         StreamHealth {
             restarts: self.restarts,
             failures: self.failure_count,
@@ -420,13 +373,12 @@ pub(crate) struct MachineTask {
     pub machine_config: fn(u64) -> MachineConfig,
     pub faults: Option<ksim::FaultPlan>,
     pub workload: WorkloadFactory,
-    pub policy: SupervisorPolicy,
     pub trace_path: Option<std::path::PathBuf>,
     pub meta: StreamMeta,
 }
 
 /// Runs one machine to a verdict: retry panics at once under the
-/// policy's budget and breaker; stop on success, a non-retryable error,
+/// restart budget and breaker; stop on success, a non-retryable error,
 /// or budget exhaustion. Seals the trace (durably, with the health
 /// ledger) either way. See the module docs for the determinism
 /// contract.
@@ -463,7 +415,6 @@ fn supervise_attempts(task: MachineTask) -> SupervisedRun {
         machine_config,
         faults,
         workload,
-        policy,
         trace_path,
         meta,
     } = task;
@@ -500,7 +451,7 @@ fn supervise_attempts(task: MachineTask) -> SupervisedRun {
         governed_period_ns: None,
     }));
 
-    let mut breaker = CircuitBreaker::new(policy.breaker_threshold);
+    let mut breaker = CircuitBreaker::default();
     let mut restarts = 0u32;
     let mut attempt = 0u32;
     let mut outcome: Option<MonitorOutcome> = None;
@@ -560,7 +511,7 @@ fn supervise_attempts(task: MachineTask) -> SupervisedRun {
                     message: panic_message(payload),
                 });
                 breaker.record_failure();
-                if restarts >= policy.max_restarts {
+                if restarts >= MAX_RESTARTS {
                     break;
                 }
                 restarts += 1;
@@ -643,7 +594,7 @@ mod tests {
 
     #[test]
     fn breaker_trips_after_threshold_and_recovers_via_half_open() {
-        let mut b = CircuitBreaker::new(2);
+        let mut b = CircuitBreaker::default();
         assert!(b.allow());
         b.record_failure();
         assert_eq!(b.state(), BreakerState::Closed, "one failure: still closed");
@@ -662,8 +613,8 @@ mod tests {
 
     #[test]
     fn half_open_probe_failure_re_trips_immediately() {
-        let mut b = CircuitBreaker::new(3);
-        for _ in 0..3 {
+        let mut b = CircuitBreaker::default();
+        for _ in 0..BREAKER_THRESHOLD {
             b.record_failure();
         }
         assert_eq!(b.state(), BreakerState::Open);
@@ -677,7 +628,7 @@ mod tests {
 
     #[test]
     fn success_resets_the_failure_streak() {
-        let mut b = CircuitBreaker::new(2);
+        let mut b = CircuitBreaker::default();
         b.record_failure();
         b.record_success();
         b.record_failure();

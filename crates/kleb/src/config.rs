@@ -33,10 +33,6 @@ pub const IOCTL_KICK: u64 = 0x4B05;
 /// than losing samples silently.
 pub const IOCTL_SET_PERIOD: u64 = 0x4B06;
 
-/// The fastest period the paper recommends (§III): below 100 µs, timer
-/// jitter becomes a significant fraction of the period.
-pub const MIN_RECOMMENDED_PERIOD: Duration = Duration::from_micros(100);
-
 /// Errors produced when validating a [`MonitorConfig`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {

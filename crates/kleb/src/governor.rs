@@ -20,11 +20,17 @@
 //! with the retune flag, so the schedule is recorded in the stream itself
 //! and survives record→replay.
 
+/// Factor the period is multiplied by on a pressured poll.
+const INCREASE_FACTOR: u64 = 2;
+
 /// Tuning for one machine's AIMD rate controller.
 ///
 /// `base_period_ns` is the floor: the governor never samples *faster*
 /// than the configured (or fleet-allocated) period, which is what makes a
-/// zero-pressure governed run byte-identical to an ungoverned one.
+/// zero-pressure governed run byte-identical to an ungoverned one. The
+/// control law's shape is fixed: any drop is pressure, a pressured poll
+/// doubles the period, and a calm run past the hysteresis steps it back
+/// down by a quarter of the base.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RatePolicy {
     /// The configured sampling period: both the starting point and the
@@ -32,32 +38,22 @@ pub struct RatePolicy {
     pub base_period_ns: u64,
     /// Ceiling for the multiplicative increase.
     pub max_period_ns: u64,
-    /// Drops observed since the previous poll that count as pressure
-    /// (strictly-greater comparison; 0 means any drop is pressure).
-    pub drop_threshold: u64,
     /// Ring occupancy that counts as pressure, as a percentage of
     /// capacity (e.g. 75 ⇒ pressured at ≥ 3/4 full).
     pub depth_threshold_pct: u32,
-    /// Multiplicative-increase factor applied to the period on pressure.
-    pub increase_factor: u32,
-    /// Additive decrease per calm poll once hysteresis is satisfied.
-    pub decrease_step_ns: u64,
     /// Consecutive calm polls required before the period is decreased.
     pub hysteresis: u32,
 }
 
 impl RatePolicy {
     /// A policy anchored at `base_period_ns` with the default shape:
-    /// 16× max backoff, ×2 increase, base/4 decrease steps, pressure on
-    /// any drop or a 3/4-full ring, 3 calm polls of hysteresis.
+    /// 16× max backoff, pressure at a 3/4-full ring, 3 calm polls of
+    /// hysteresis.
     pub fn new(base_period_ns: u64) -> Self {
         Self {
             base_period_ns,
             max_period_ns: base_period_ns.saturating_mul(16),
-            drop_threshold: 0,
             depth_threshold_pct: 75,
-            increase_factor: 2,
-            decrease_step_ns: (base_period_ns / 4).max(1),
             hysteresis: 3,
         }
     }
@@ -68,28 +64,16 @@ impl RatePolicy {
         self
     }
 
-    /// Sets the drop-delta pressure threshold.
-    pub fn drop_threshold(mut self, drops: u64) -> Self {
-        self.drop_threshold = drops;
-        self
-    }
-
     /// Sets the ring-occupancy pressure threshold (percent of capacity).
     pub fn depth_threshold_pct(mut self, pct: u32) -> Self {
         self.depth_threshold_pct = pct;
         self
     }
 
-    /// Sets the multiplicative-increase factor.
-    pub fn increase_factor(mut self, factor: u32) -> Self {
-        self.increase_factor = factor.max(2);
-        self
-    }
-
-    /// Sets the additive-decrease step.
-    pub fn decrease_step(mut self, step_ns: u64) -> Self {
-        self.decrease_step_ns = step_ns.max(1);
-        self
+    /// The additive decrease per calm poll once hysteresis is satisfied:
+    /// a quarter of the base period.
+    fn decrease_step_ns(&self) -> u64 {
+        (self.base_period_ns / 4).max(1)
     }
 
     /// Sets the calm-poll hysteresis.
@@ -116,7 +100,7 @@ pub struct PressureSample {
 impl PressureSample {
     /// Whether this poll counts as pressured under `policy`.
     fn pressured(&self, policy: &RatePolicy) -> bool {
-        self.drop_delta > policy.drop_threshold
+        self.drop_delta > 0
             || self.pause_delta > 0
             || (self.capacity > 0
                 && self.buffered * 100 >= self.capacity * u64::from(policy.depth_threshold_pct))
@@ -228,9 +212,7 @@ impl RateGovernor {
     pub fn observe(&mut self, sample: PressureSample) -> RateDecision {
         if sample.pressured(&self.policy) {
             self.calm_streak = 0;
-            let proposed = self
-                .period_ns
-                .saturating_mul(u64::from(self.policy.increase_factor.max(2)));
+            let proposed = self.period_ns.saturating_mul(INCREASE_FACTOR);
             let clamped = proposed.min(self.policy.max_period_ns.max(self.policy.base_period_ns));
             if clamped < proposed {
                 self.stats.clamps += 1;
@@ -248,7 +230,7 @@ impl RateGovernor {
             self.calm_streak = 0;
             let proposed = self
                 .period_ns
-                .saturating_sub(self.policy.decrease_step_ns.max(1))
+                .saturating_sub(self.policy.decrease_step_ns())
                 .max(self.policy.base_period_ns);
             return self.retune(proposed, -1);
         }
@@ -321,32 +303,37 @@ mod tests {
 
     #[test]
     fn calm_decreases_only_after_hysteresis_and_floors_at_base() {
-        let policy = RatePolicy::new(100_000).hysteresis(3).decrease_step(60_000);
+        let policy = RatePolicy::new(100_000).hysteresis(3);
         let mut g = RateGovernor::new(policy);
         g.observe(pressured()); // 200k
         assert_eq!(g.observe(calm()), RateDecision::Hold);
         assert_eq!(g.observe(calm()), RateDecision::Hold);
-        assert_eq!(
-            g.observe(calm()),
-            RateDecision::Retune {
-                period_ns: 140_000,
-                seq: 1
+        // Each decrease steps a quarter of the base, down to the base.
+        for (seq, period_ns) in (1..).zip([175_000, 150_000, 125_000, 100_000]) {
+            if seq > 1 {
+                g.observe(calm());
+                g.observe(calm());
             }
-        );
-        // Next decrease floors at base, never below.
-        g.observe(calm());
-        g.observe(calm());
-        assert_eq!(
-            g.observe(calm()),
-            RateDecision::Retune {
-                period_ns: 100_000,
-                seq: 2
-            }
-        );
+            assert_eq!(g.observe(calm()), RateDecision::Retune { period_ns, seq });
+        }
+        // Never below the base.
         for _ in 0..10 {
             assert_eq!(g.observe(calm()), RateDecision::Hold);
         }
         assert_eq!(g.period_ns(), 100_000);
+    }
+
+    #[test]
+    fn a_step_past_the_base_lands_on_the_base() {
+        // A base of 100_002 steps by 25_000, so the fifth decrease from
+        // 200_004 would undershoot to 75_004.
+        let mut g = RateGovernor::new(RatePolicy::new(100_002).hysteresis(1));
+        g.observe(pressured());
+        for period_ns in [175_004, 150_004, 125_004, 100_004, 100_002] {
+            assert!(matches!(g.observe(calm()), RateDecision::Retune { .. }));
+            assert_eq!(g.period_ns(), period_ns);
+        }
+        assert_eq!(g.observe(calm()), RateDecision::Hold);
     }
 
     #[test]

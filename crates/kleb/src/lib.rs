@@ -31,18 +31,16 @@
 //! # Ok::<(), kleb::MonitorError>(())
 //! ```
 
-pub mod api;
+mod api;
 pub mod config;
 pub mod controller;
 pub mod governor;
-pub mod log;
 pub mod module;
 pub mod sample;
 
-pub use api::{monitor_sequential, Monitor, MonitorError, MonitorOutcome, SequentialOutcome};
+pub use api::{Monitor, MonitorError, MonitorOutcome};
 pub use config::{ConfigError, ModuleStatus, MonitorConfig};
 pub use controller::{RecoveryStats, SampleSink};
 pub use governor::{GovernorStats, PressureSample, RateDecision, RateGovernor, RatePolicy};
-pub use log::{parse_csv, render_csv, LogParseError};
 pub use module::{KlebModule, KlebTuning};
 pub use sample::{Sample, RECORD_BYTES};

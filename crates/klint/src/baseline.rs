@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 use crate::rules::{Rule, Violation};
 
 /// Key of one baseline entry.
-pub type Key = (Rule, String, String);
+type Key = (Rule, String, String);
 
 /// Allowed violation counts, keyed by `(rule, path, snippet)`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

@@ -10,12 +10,22 @@
 //! inventory, not a reachability analysis — a `pub` item in a private
 //! module still shows up, which errs on the side of flagging drift.
 //!
+//! An item that no non-test code outside its own file names is listed
+//! with a trailing `# unreferenced`. Non-test code is every crate's
+//! `src/` (bins included), the umbrella `src/`, `examples/` and
+//! `perfbench/src/`, minus `#[cfg(test)]` items and the files of
+//! `#[cfg(test)] mod x;` declarations. Comments (doc comments too, so a
+//! doctest is no caller), `use` declarations (so a re-export is no
+//! caller) and the names that item definitions introduce do not count.
+//! Matching is by name, so a mark is a candidate for removal, not a
+//! verdict; a newly marked item shows in the diff like any other change.
+//!
 //! Usage: `apisnap [--root <dir>] [--snapshot <path>] [--write]`.
 //! Exit status 0 when the snapshot matches, 1 on drift (the diff is
 //! printed), 2 on usage or I/O errors. `--write` refreshes the file,
 //! mirroring `klint --write-baseline`.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -255,19 +265,185 @@ fn collect_rs(dir: &Path, skip_bin: bool, out: &mut Vec<PathBuf>) -> Result<(), 
     Ok(())
 }
 
-/// One crate's `src/` tree reduced to its sorted `pub` inventory.
-fn snapshot_crate(name: &str, src_dir: &Path, out: &mut String) -> Result<(), String> {
+/// Where each name is used: name -> the non-test files whose code names it.
+type References = BTreeMap<String, BTreeSet<PathBuf>>;
+
+/// Index just past the bracket that closes the one at `i`.
+fn skip_balanced(toks: &[Token], mut i: usize) -> usize {
+    let mut depth = 0usize;
+    while i < toks.len() {
+        match toks[i].tok {
+            Tok::Punct('(' | '[' | '{') => depth += 1,
+            Tok::Punct(')' | ']' | '}') => {
+                depth = depth.saturating_sub(1);
+                if depth == 0 {
+                    return i + 1;
+                }
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    i
+}
+
+/// Index just past the item starting at `i`, after any further
+/// attributes: its `;`, or the `}` that closes its body.
+fn skip_item(toks: &[Token], mut i: usize) -> usize {
+    while i < toks.len() {
+        match toks[i].tok {
+            Tok::Punct(';') => return i + 1,
+            Tok::Punct('{') => return skip_balanced(toks, i),
+            Tok::Punct('(' | '[') => i = skip_balanced(toks, i),
+            _ => i += 1,
+        }
+    }
+    i
+}
+
+/// Whether the attribute body `attr` (between `#[` and `]`) is a `cfg`
+/// that only test builds enable: it names `test`, and not as `not(test)`.
+fn is_cfg_test(attr: &[Token]) -> bool {
+    attr.first().and_then(ident) == Some("cfg")
+        && attr.iter().enumerate().any(|(k, t)| {
+            ident(t) == Some("test")
+                && !(k >= 2 && punct(&attr[k - 1], '(') && ident(&attr[k - 2]) == Some("not"))
+        })
+}
+
+/// Keywords whose next identifier is the name of a new item.
+const DEFINES: [&str; 9] = [
+    "fn", "struct", "enum", "trait", "type", "const", "static", "mod", "union",
+];
+
+/// The names `src`'s non-test code uses, and the names of its
+/// `#[cfg(test)] mod name;` declarations.
+fn scan_refs(src: &str) -> (BTreeSet<String>, Vec<String>) {
+    let toks = lex(src).tokens;
+    let mut names = BTreeSet::new();
+    let mut test_mods = Vec::new();
+    let mut i = 0usize;
+    while i < toks.len() {
+        if punct(&toks[i], '#') && toks.get(i + 1).is_some_and(|t| punct(t, '[')) {
+            let end = skip_balanced(&toks, i + 1);
+            if toks.get(i + 2..end - 1).is_some_and(is_cfg_test) {
+                i = skip_item(&toks, end);
+                if let [.., m, name, semi] = &toks[end..i] {
+                    if ident(m) == Some("mod") && punct(semi, ';') {
+                        test_mods.extend(ident(name).map(str::to_string));
+                    }
+                }
+            } else {
+                i = end;
+            }
+            continue;
+        }
+        match ident(&toks[i]) {
+            Some("use") => {
+                // The modules a path walks must stay public for it to
+                // resolve; the names it imports are no callers.
+                while i < toks.len() && !punct(&toks[i], ';') {
+                    if let Some(seg) = ident(&toks[i]) {
+                        if toks.get(i + 1).is_some_and(|t| punct(t, ':')) {
+                            names.insert(seg.to_string());
+                        }
+                    }
+                    i += 1;
+                }
+            }
+            // The name a definition introduces is no reference to it.
+            Some(kw)
+                if DEFINES.contains(&kw)
+                    && toks
+                        .get(i + 1)
+                        .and_then(ident)
+                        .is_some_and(|n| !DEFINES.contains(&n)) =>
+            {
+                i += 1;
+            }
+            Some(name) => {
+                names.insert(name.to_string());
+            }
+            None => {}
+        }
+        i += 1;
+    }
+    (names, test_mods)
+}
+
+/// Indexes the names used by the non-test code under `dir`.
+fn index_refs(dir: &Path, refs: &mut References) -> Result<(), String> {
     let mut files = Vec::new();
-    collect_rs(src_dir, true, &mut files)?;
-    let mut items = BTreeSet::new();
+    collect_rs(dir, false, &mut files)?;
+    let mut test_files = BTreeSet::new();
+    let mut scanned = Vec::new();
     for f in files {
         let text = std::fs::read_to_string(&f).map_err(|e| format!("{}: {e}", f.display()))?;
-        scan_file(&text, &mut items);
+        let (names, test_mods) = scan_refs(&text);
+        // `lib.rs`, `main.rs` and `mod.rs` keep their modules beside them;
+        // any other `x.rs` keeps them in `x/`.
+        let stem = f.file_stem().and_then(|s| s.to_str()).unwrap_or("");
+        let parent = f.parent().unwrap_or(dir);
+        let mod_dir = if ["lib", "main", "mod"].contains(&stem) {
+            parent.to_path_buf()
+        } else {
+            parent.join(stem)
+        };
+        for m in test_mods {
+            test_files.insert(mod_dir.join(format!("{m}.rs")));
+            test_files.insert(mod_dir.join(&m).join("mod.rs"));
+        }
+        scanned.push((f, names));
+    }
+    for (f, names) in scanned {
+        if !test_files.contains(&f) {
+            for name in names {
+                refs.entry(name).or_default().insert(f.clone());
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Whether no non-test file outside `defined_in` names the snapshot
+/// line's item. `use` lines are re-exports, never marked.
+fn unreferenced(line: &str, defined_in: &BTreeSet<PathBuf>, refs: &References) -> bool {
+    let Some((kind, path)) = line.split_once(' ') else {
+        return false;
+    };
+    if kind == "use" {
+        return false;
+    }
+    let name = path.rsplit("::").next().unwrap_or(path);
+    refs.get(name)
+        .is_none_or(|users| users.is_subset(defined_in))
+}
+
+/// One crate's `src/` tree reduced to its sorted `pub` inventory.
+fn snapshot_crate(
+    name: &str,
+    src_dir: &Path,
+    refs: &References,
+    out: &mut String,
+) -> Result<(), String> {
+    let mut files = Vec::new();
+    collect_rs(src_dir, true, &mut files)?;
+    let mut items: BTreeMap<String, BTreeSet<PathBuf>> = BTreeMap::new();
+    for f in files {
+        let text = std::fs::read_to_string(&f).map_err(|e| format!("{}: {e}", f.display()))?;
+        let mut lines = BTreeSet::new();
+        scan_file(&text, &mut lines);
+        for line in lines {
+            items.entry(line).or_default().insert(f.clone());
+        }
     }
     out.push_str(&format!("crate {name}\n"));
-    for item in items {
+    for (item, defined_in) in items {
         out.push_str("  ");
         out.push_str(&item);
+        if unreferenced(&item, &defined_in, refs) {
+            out.push_str(" # unreferenced");
+        }
         out.push('\n');
     }
     Ok(())
@@ -286,12 +462,23 @@ fn build_snapshot(root: &Path) -> Result<String, String> {
         .filter_map(|e| e.file_name().into_string().ok())
         .collect();
     names.sort();
+    let mut refs = References::new();
+    let extra = ["src", "examples", "perfbench/src"].map(|d| root.join(d));
+    for dir in names
+        .iter()
+        .map(|n| crates_dir.join(n).join("src"))
+        .chain(extra)
+    {
+        if dir.is_dir() {
+            index_refs(&dir, &mut refs)?;
+        }
+    }
     for name in names {
-        snapshot_crate(&name, &crates_dir.join(&name).join("src"), &mut out)?;
+        snapshot_crate(&name, &crates_dir.join(&name).join("src"), &refs, &mut out)?;
     }
     // The umbrella crate last: its src/ is the workspace root's.
     if root.join("src").is_dir() {
-        snapshot_crate("kleb-repro", &root.join("src"), &mut out)?;
+        snapshot_crate("kleb-repro", &root.join("src"), &refs, &mut out)?;
     }
     Ok(out)
 }

@@ -124,7 +124,7 @@ impl std::error::Error for WalkError {}
 /// # Errors
 ///
 /// Returns [`WalkError`] if a directory listed above cannot be read.
-pub fn workspace_sources(root: &Path) -> Result<Vec<String>, WalkError> {
+fn workspace_sources(root: &Path) -> Result<Vec<String>, WalkError> {
     let mut files = Vec::new();
     let crates = root.join("crates");
     for krate in read_dir_sorted(&crates)? {

@@ -101,7 +101,7 @@ impl Rule {
 
     /// Whether this rule skips test code (`#[cfg(test)]` modules and
     /// `tests/` directories).
-    pub fn skips_tests(self) -> bool {
+    fn skips_tests(self) -> bool {
         // A1 skips tests: model/stress tests deliberately use odd
         // orderings, and pairing analysis is only meaningful over the
         // library code that ships. U1 applies to tests too — unsafe in a
@@ -112,7 +112,7 @@ impl Rule {
     /// Per-file opt-ins baked into the rule definition: files whose
     /// crate is outside the rule's scope but which must be scanned
     /// anyway.
-    pub fn includes_file(self, rel_path: &str) -> bool {
+    fn includes_file(self, rel_path: &str) -> bool {
         match self {
             // The supervision layer is the code that *contains* other
             // threads' panics — a panic of its own (an unwrap on a
@@ -132,7 +132,7 @@ impl Rule {
     }
 
     /// Per-file allowlist baked into the rule definition.
-    pub fn allows_file(self, rel_path: &str) -> bool {
+    fn allows_file(self, rel_path: &str) -> bool {
         match self {
             // ring.rs: the one module allowed to choose atomic orderings
             // for data publication, with the full release/acquire

@@ -36,8 +36,8 @@ const FAULT_SEED_SALT: u64 = 0xC4A0_5F17_9E37_79B9;
 /// [`FaultState::for_attempt`]). Arbitrary odd constant.
 const ATTEMPT_SEED_SALT: u64 = 0x9E6C_63D0_985B_2C35;
 
-/// One class of injectable fault. Used both to draw (“does this fault fire
-/// here?”) and to index per-class counters in [`FaultStats`].
+/// One class of injectable fault: what a draw asks (“does this fault fire
+/// here?”).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultClass {
     /// An hrtimer expiry is delivered late by a fixed extra delay
@@ -73,26 +73,11 @@ pub enum FaultClass {
     ThreadPanic,
 }
 
-/// Number of [`FaultClass`] variants (array-index bound for stats).
-pub const NUM_FAULT_CLASSES: usize = 9;
+/// Number of [`FaultClass`] variants.
+const NUM_FAULT_CLASSES: usize = 9;
 
 impl FaultClass {
-    /// Stable per-class index into [`FaultStats`].
-    pub const fn index(self) -> usize {
-        match self {
-            FaultClass::TimerDelay => 0,
-            FaultClass::TimerMiss => 1,
-            FaultClass::CtxswDrop => 2,
-            FaultClass::CtxswLate => 3,
-            FaultClass::MsrFreeze => 4,
-            FaultClass::RingSlot => 5,
-            FaultClass::DrainFail => 6,
-            FaultClass::DrainSlow => 7,
-            FaultClass::ThreadPanic => 8,
-        }
-    }
-
-    /// All classes, in index order.
+    /// All classes.
     pub const ALL: [FaultClass; NUM_FAULT_CLASSES] = [
         FaultClass::TimerDelay,
         FaultClass::TimerMiss,
@@ -247,15 +232,6 @@ impl FaultPlan {
         }
     }
 
-    /// Returns this plan with the thread-panic rate set to `p` — the way
-    /// to compose crash testing with a [`FaultPlan::chaos`] base.
-    pub fn with_thread_panic(self, p: f64) -> FaultPlan {
-        FaultPlan {
-            thread_panic_rate: p.clamp(0.0, 1.0),
-            ..self
-        }
-    }
-
     /// Returns this plan confined to periodic bursts: faults may fire
     /// only during the first `duty` fraction of each `period` on the
     /// simulated clock. `Duration::ZERO` (or a zero duty) disables
@@ -272,7 +248,7 @@ impl FaultPlan {
 
     /// Whether `now_ns` falls inside a fault-eligible burst window.
     /// Always true when windowing is off (`burst_period_ns == 0`).
-    pub fn in_burst(&self, now_ns: u64) -> bool {
+    fn in_burst(&self, now_ns: u64) -> bool {
         if self.burst_period_ns == 0 {
             return true;
         }
@@ -297,7 +273,8 @@ impl FaultPlan {
 
     /// Whether any fault class can fire (or the ring is shrunken). When
     /// false the fault state never draws from its RNG.
-    pub fn is_active(&self) -> bool {
+    #[cfg(test)]
+    fn is_active(&self) -> bool {
         self.ring_shrink > 0.0 || FaultClass::ALL.iter().any(|&c| self.rate(c) > 0.0)
     }
 }
@@ -308,43 +285,16 @@ impl Default for FaultPlan {
     }
 }
 
-/// Per-class counters of faults actually injected, for observability:
-/// chaos reports pair these with the consumer-side accounting
-/// (`samples_dropped`, retries, watchdog events) to prove degradation is
-/// bounded *and accounted*.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    injected: [u64; NUM_FAULT_CLASSES],
-}
-
-impl FaultStats {
-    /// Times `class` fired so far.
-    pub fn count(&self, class: FaultClass) -> u64 {
-        self.injected[class.index()]
-    }
-
-    /// Total faults injected across all classes.
-    pub fn total(&self) -> u64 {
-        self.injected.iter().sum()
-    }
-
-    fn record(&mut self, class: FaultClass) {
-        self.injected[class.index()] += 1;
-    }
-}
-
 /// Live fault-injection state owned by a [`crate::Machine`].
 ///
-/// Holds the plan, the derived seeded RNG, the per-`(core, msr)` freeze
-/// table and the injection counters. All methods are cheap no-ops when the
-/// plan is inert.
+/// Holds the plan, the derived seeded RNG and the per-`(core, msr)` freeze
+/// table. All methods are cheap no-ops when the plan is inert.
 #[derive(Debug)]
 pub struct FaultState {
     plan: FaultPlan,
     rng: StdRng,
     /// `(core, msr) → (stuck value, remaining reads)`.
     frozen: BTreeMap<(usize, u32), (u64, u32)>,
-    stats: FaultStats,
 }
 
 impl FaultState {
@@ -369,7 +319,6 @@ impl FaultState {
             plan,
             rng: StdRng::seed_from_u64(seed ^ salt),
             frozen: BTreeMap::new(),
-            stats: FaultStats::default(),
         }
     }
 
@@ -381,16 +330,12 @@ impl FaultState {
     /// Draws whether `class` fires at this opportunity. Never touches the
     /// RNG when the class's rate is zero, so an inert plan consumes no
     /// randomness at all.
-    pub fn fires(&mut self, class: FaultClass) -> bool {
+    fn fires(&mut self, class: FaultClass) -> bool {
         let rate = self.plan.rate(class);
         if rate <= 0.0 {
             return false;
         }
-        let hit = rate >= 1.0 || self.rng.gen_f64() < rate;
-        if hit {
-            self.stats.record(class);
-        }
-        hit
+        rate >= 1.0 || self.rng.gen_f64() < rate
     }
 
     /// Burst-windowed draw: like [`FaultState::fires`], but gated on
@@ -425,11 +370,6 @@ impl FaultState {
         }
         fresh
     }
-
-    /// Counters of faults injected so far.
-    pub fn stats(&self) -> &FaultStats {
-        &self.stats
-    }
 }
 
 #[cfg(test)]
@@ -447,7 +387,6 @@ mod tests {
         assert_eq!(st.filter_rdmsr(0, 0x309, 42), 42);
         // The RNG state is untouched: zero draws happened.
         assert_eq!(format!("{:?}", st.rng), rng_before);
-        assert_eq!(st.stats().total(), 0);
     }
 
     #[test]
@@ -462,13 +401,11 @@ mod tests {
     }
 
     #[test]
-    fn rate_one_always_fires_and_is_counted() {
+    fn rate_one_always_fires() {
         let mut st = FaultState::new(FaultPlan::ring_pressure(1.0), 0);
         for _ in 0..10 {
             assert!(st.fires(FaultClass::RingSlot));
         }
-        assert_eq!(st.stats().count(FaultClass::RingSlot), 10);
-        assert_eq!(st.stats().total(), 10);
     }
 
     #[test]
@@ -512,13 +449,10 @@ mod tests {
     }
 
     #[test]
-    fn thread_panic_stays_out_of_chaos_and_composes_explicitly() {
+    fn thread_panic_stays_out_of_chaos() {
         // chaos() must never enable the process-fatal class implicitly:
         // unsupervised monitors run chaos plans directly.
         assert_eq!(FaultPlan::chaos(1.0).thread_panic_rate, 0.0);
-        let plan = FaultPlan::chaos(0.2).with_thread_panic(0.05);
-        assert!((plan.thread_panic_rate - 0.05).abs() < 1e-12);
-        assert!((plan.ring_pressure - 0.2).abs() < 1e-12, "base preserved");
         assert!(FaultPlan::thread_panic(0.5).is_active());
         assert_eq!(
             FaultPlan::thread_panic(0.5).rate(FaultClass::ThreadPanic),
@@ -566,10 +500,8 @@ mod tests {
         let mut st = FaultState::new(windowed, 5);
         let rng_before = format!("{:?}", st.rng);
         assert!(!st.fires_at(FaultClass::RingSlot, 600_000));
-        // Outside the burst nothing was drawn: the RNG is untouched and
-        // the quiet opportunity leaves no trace in the stats.
+        // Outside the burst nothing was drawn: the RNG is untouched.
         assert_eq!(format!("{:?}", st.rng), rng_before);
-        assert_eq!(st.stats().total(), 0);
         assert!(st.fires_at(FaultClass::RingSlot, 1_100_000));
         // Zero duty closes every window; zero period reopens them all.
         assert!(!plan.bursts(Duration::from_micros(1_000), 0.0).in_burst(0));
@@ -607,13 +539,10 @@ mod tests {
     }
 
     #[test]
-    fn class_indices_are_a_bijection() {
-        let mut seen = [false; NUM_FAULT_CLASSES];
-        for class in FaultClass::ALL {
-            assert!(!seen[class.index()], "duplicate index");
-            seen[class.index()] = true;
+    fn every_class_is_listed_once_with_a_name() {
+        for (i, class) in FaultClass::ALL.iter().enumerate() {
+            assert!(!FaultClass::ALL[..i].contains(class), "duplicate {class:?}");
             assert!(!class.name().is_empty());
         }
-        assert!(seen.iter().all(|&s| s));
     }
 }

@@ -49,7 +49,7 @@ pub mod workload;
 
 pub use cost::CostModel;
 pub use device::{Device, DeviceId, Errno};
-pub use faults::{FaultClass, FaultPlan, FaultStats};
+pub use faults::{FaultClass, FaultPlan};
 pub use hrtimer::{JitterModel, TimerId};
 pub use machine::{DramModel, KernelCtx, Machine, MachineConfig, SimError};
 pub use process::{CoreId, Pid, ProcessInfo, ProcessState};

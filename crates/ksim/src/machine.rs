@@ -26,7 +26,7 @@ use memsim::{AccessKind, AccessPattern, CoreView, Hierarchy, HierarchyConfig, Me
 use crate::cost::CostModel;
 use crate::device::{Device, DeviceId, Errno};
 use crate::event::{Event, EventKind, EventQueue};
-use crate::faults::{FaultClass, FaultPlan, FaultState, FaultStats};
+use crate::faults::{FaultClass, FaultPlan, FaultState};
 use crate::hrtimer::{JitterModel, TimerId, TimerTable};
 use crate::process::{CoreId, Pid, ProcessInfo, ProcessState, ProcessTable};
 use crate::time::{CpuFreq, Duration, Instant};
@@ -540,12 +540,6 @@ impl Machine {
         &self.cores[core.0].pmu
     }
 
-    /// Mutable PMU access (used by user-space tool setup that programs
-    /// counters via `/dev/msr`-style access, charging no simulated cost).
-    pub fn pmu_mut(&mut self, core: CoreId) -> &mut Pmu {
-        &mut self.cores[core.0].pmu
-    }
-
     /// A core's view of the cache hierarchy: its statistics.
     pub fn mem(&self, core: CoreId) -> CoreView<'_> {
         self.mem.core(core.0)
@@ -554,12 +548,6 @@ impl Machine {
     /// Total time a core spent idle.
     pub fn idle_time(&self, core: CoreId) -> Duration {
         self.cores[core.0].idle_time
-    }
-
-    /// Counters of faults injected so far by the chaos layer (always all
-    /// zero unless [`MachineConfig::faults`] enabled some class).
-    pub fn fault_stats(&self) -> &FaultStats {
-        self.faults.stats()
     }
 
     /// MSR-protocol violations recorded across all cores, in core order.
@@ -1383,12 +1371,6 @@ impl KernelCtx<'_> {
         self.machine.procs.children_of(pid)
     }
 
-    /// Every process in the table (live and exited), in pid order — the
-    /// `for_each_process` view a kernel module gets.
-    pub fn all_processes(&self) -> impl Iterator<Item = &ProcessInfo> {
-        self.machine.procs.iter().map(|p| &p.info)
-    }
-
     /// Touches `lines` consecutive kernel cache lines, modelling the
     /// handler's data working set. The accesses evict user lines (cache
     /// pollution — a major component of real monitoring overhead) and are
@@ -1533,7 +1515,7 @@ mod tests {
                 m.spawn("neighbour", CoreId(1), Box::new(Script(neighbour))),
             ];
             for core in [CoreId(0), CoreId(1)] {
-                let pmu = m.pmu_mut(core);
+                let pmu = &mut m.cores[core.0].pmu;
                 for (i, event) in [HwEvent::LlcMiss, HwEvent::LlcReference, HwEvent::Load]
                     .into_iter()
                     .enumerate()
@@ -1579,7 +1561,16 @@ mod tests {
             for core in [CoreId(0), CoreId(1)] {
                 let at = format!("{core} after {rounds} rounds");
                 assert_eq!(free.now_on(core), full.now_on(core), "{at}");
-                assert_eq!(free.pmu(core).snapshot(), full.pmu(core).snapshot(), "{at}");
+                for addr in (0..4)
+                    .map(|i| pmu::msr::IA32_PMC0 + i)
+                    .chain((0..3).map(|i| pmu::msr::IA32_FIXED_CTR0 + i))
+                {
+                    assert_eq!(
+                        free.pmu(core).rdmsr(addr),
+                        full.pmu(core).rdmsr(addr),
+                        "{at}"
+                    );
+                }
                 for privilege in [Privilege::User, Privilege::Kernel] {
                     assert_eq!(
                         free.pmu(core).ledger(privilege),
@@ -2185,12 +2176,11 @@ mod tests {
         let sel = EventSel::for_event(HwEvent::InstructionsRetired)
             .usr(true)
             .enabled(true);
-        m.pmu_mut(CoreId(0))
+        m.cores[0]
+            .pmu
             .wrmsr(msr::IA32_PERFEVTSEL0, sel.bits())
             .unwrap();
-        m.pmu_mut(CoreId(0))
-            .wrmsr(msr::IA32_PERF_GLOBAL_CTRL, 1)
-            .unwrap();
+        m.cores[0].pmu.wrmsr(msr::IA32_PERF_GLOBAL_CTRL, 1).unwrap();
         let pid = m.spawn(
             "r",
             CoreId(0),

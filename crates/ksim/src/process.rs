@@ -203,10 +203,6 @@ impl ProcessTable {
         pid.0 >= 1 && (pid.0 as usize) <= self.procs.len()
     }
 
-    pub fn iter(&self) -> impl Iterator<Item = &Process> {
-        self.procs.iter()
-    }
-
     /// Pids of all live (non-exited) processes.
     pub fn live_pids(&self) -> Vec<Pid> {
         self.procs

@@ -50,11 +50,6 @@ impl Duration {
         Duration(ms * 1_000_000)
     }
 
-    /// Constructs from seconds.
-    pub const fn from_secs(s: u64) -> Self {
-        Duration(s * 1_000_000_000)
-    }
-
     /// Nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -172,11 +167,6 @@ impl CpuFreq {
     /// The paper's AWS verification machine: Xeon Platinum 8259CL @ 2.50 GHz.
     pub const XEON_8259CL: CpuFreq = CpuFreq { hz: 2_500_000_000 };
 
-    /// Frequency in hertz.
-    pub const fn hz(self) -> u64 {
-        self.hz
-    }
-
     /// Converts a cycle count to wall time (rounding to nearest ns, min 1 ns
     /// for non-zero cycles so work always advances time).
     pub fn cycles_to_duration(self, cycles: u64) -> Duration {
@@ -218,7 +208,6 @@ mod tests {
 
     #[test]
     fn duration_constructors_agree() {
-        assert_eq!(Duration::from_secs(1), Duration::from_millis(1000));
         assert_eq!(Duration::from_millis(1), Duration::from_micros(1000));
         assert_eq!(Duration::from_micros(1), Duration::from_nanos(1000));
     }
@@ -233,8 +222,11 @@ mod tests {
     fn cycles_round_trip() {
         let f = CpuFreq::I7_920;
         let d = f.cycles_to_duration(2_670_000_000);
-        assert_eq!(d, Duration::from_secs(1));
-        assert_eq!(f.duration_to_cycles(Duration::from_secs(1)), 2_670_000_000);
+        assert_eq!(d, Duration::from_millis(1_000));
+        assert_eq!(
+            f.duration_to_cycles(Duration::from_millis(1_000)),
+            2_670_000_000
+        );
     }
 
     #[test]
@@ -254,7 +246,7 @@ mod tests {
             if cycles == 0 {
                 return Duration::ZERO;
             }
-            let hz = freq.hz() as u128;
+            let hz = freq.hz as u128;
             let ns = (cycles as u128 * 1_000_000_000u128 + hz / 2) / hz;
             Duration::from_nanos((ns as u64).max(1))
         }
@@ -266,7 +258,7 @@ mod tests {
         ];
         let mut x = 42u64;
         for freq in freqs {
-            let fits = (u64::MAX - freq.hz() / 2) / 1_000_000_000;
+            let fits = (u64::MAX - freq.hz / 2) / 1_000_000_000;
             let mut cycles: Vec<u64> = [0, 1, 2, 3, u64::MAX - 1, u64::MAX].to_vec();
             for center in [u64::MAX / 1_000_000_000, fits] {
                 cycles.extend(center - 2_000..=center + 2_000);
@@ -285,7 +277,7 @@ mod tests {
                     freq.cycles_to_duration(c),
                     reference(freq, c),
                     "{c} cycles at {} Hz",
-                    freq.hz()
+                    freq.hz
                 );
             }
         }
@@ -296,12 +288,12 @@ mod tests {
         assert_eq!(Duration::from_nanos(5).to_string(), "5ns");
         assert_eq!(Duration::from_micros(5).to_string(), "5.000us");
         assert_eq!(Duration::from_millis(5).to_string(), "5.000ms");
-        assert_eq!(Duration::from_secs(5).to_string(), "5.000s");
+        assert_eq!(Duration::from_millis(5_000).to_string(), "5.000s");
     }
 
     #[test]
     fn freq_constants() {
-        assert_eq!(CpuFreq::I7_920.hz(), 2_670_000_000);
-        assert_eq!(CpuFreq::XEON_8259CL.hz(), 2_500_000_000);
+        assert_eq!(CpuFreq::I7_920.hz, 2_670_000_000);
+        assert_eq!(CpuFreq::XEON_8259CL.hz, 2_500_000_000);
     }
 }

@@ -279,57 +279,6 @@ fn cross_core_msr_access_and_kernel_wake() {
 }
 
 #[test]
-fn all_processes_view_matches_spawns() {
-    #[derive(Debug)]
-    struct Lister {
-        dev: ksim::DeviceId,
-        done: bool,
-    }
-    impl Workload for Lister {
-        fn next(&mut self, _prev: &ItemResult) -> Option<WorkItem> {
-            if self.done {
-                return None;
-            }
-            self.done = true;
-            Some(WorkItem::Syscall(Syscall::Ioctl {
-                device: self.dev,
-                request: 0,
-                payload: vec![],
-            }))
-        }
-    }
-    #[derive(Debug)]
-    struct Census {
-        names: Arc<Mutex<Vec<String>>>,
-    }
-    impl Device for Census {
-        fn ioctl(
-            &mut self,
-            ctx: &mut KernelCtx<'_>,
-            _caller: Pid,
-            _request: u64,
-            _payload: &[u8],
-        ) -> Result<(i64, Vec<u8>), Errno> {
-            *self.names.lock().unwrap() = ctx.all_processes().map(|p| p.name.clone()).collect();
-            Ok((0, Vec::new()))
-        }
-    }
-    let names = Arc::new(Mutex::new(Vec::new()));
-    let mut m = machine();
-    let dev = m.register_device(Box::new(Census {
-        names: names.clone(),
-    }));
-    m.spawn(
-        "first",
-        CoreId(0),
-        Box::new(FixedBlocks::new(1, WorkBlock::compute(1, 1))),
-    );
-    let lister = m.spawn("lister", CoreId(1), Box::new(Lister { dev, done: false }));
-    m.run_until_exit(lister).unwrap();
-    assert_eq!(names.lock().unwrap().as_slice(), &["first", "lister"]);
-}
-
-#[test]
 fn dram_contention_slows_corunning_missers() {
     use ksim::DramModel;
     use memsim::AccessPattern;

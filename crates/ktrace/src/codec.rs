@@ -24,6 +24,11 @@ use crate::varint::{apply_delta, delta, get_u64, put_u64, unzigzag, zigzag};
 use kleb::Sample;
 use pmu::NUM_FIXED;
 
+/// Fewest payload bytes a sample can take: one varint byte in each of
+/// the timestamp, seq and pid columns. A body of `n` bytes holds at most
+/// `n / MIN_SAMPLE_BYTES` samples.
+pub(crate) const MIN_SAMPLE_BYTES: usize = 3;
+
 /// Column tag: every sample holds the same value.
 const TAG_CONSTANT: u8 = 0;
 /// Column tag: first value + per-sample value deltas.
@@ -78,19 +83,6 @@ fn get_sparse_flags(bytes: &[u8], pos: &mut usize, count: usize) -> Option<Vec<u
         indices.push(at as usize);
     }
     Some(indices)
-}
-
-/// What [`encode_block`] hands the writer besides the payload bytes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EncodedBlock {
-    /// The columnar payload.
-    pub payload: Vec<u8>,
-    /// Bit `i` ⇔ lane `i` carries a nonzero value somewhere in the block.
-    pub lane_mask: u16,
-    /// Smallest timestamp in the block.
-    pub min_ts: u64,
-    /// Largest timestamp in the block.
-    pub max_ts: u64,
 }
 
 /// Per-block metadata [`encode_block_into`] returns beside the payload.
@@ -177,18 +169,6 @@ pub fn encode_block_into(
         lane_mask,
         min_ts: samples.iter().map(|s| s.timestamp_ns).min().unwrap_or(0),
         max_ts: samples.iter().map(|s| s.timestamp_ns).max().unwrap_or(0),
-    }
-}
-
-/// [`encode_block_into`] with a fresh payload allocation per call.
-pub fn encode_block(samples: &[Sample], batch_lens: &[u64]) -> EncodedBlock {
-    let mut payload = Vec::new();
-    let summary = encode_block_into(samples, batch_lens, &mut payload);
-    EncodedBlock {
-        payload,
-        lane_mask: summary.lane_mask,
-        min_ts: summary.min_ts,
-        max_ts: summary.max_ts,
     }
 }
 
@@ -307,27 +287,36 @@ mod tests {
             .collect()
     }
 
+    /// The payload of `samples` in a fresh allocation.
+    fn encode(samples: &[Sample], batch_lens: &[u64]) -> Vec<u8> {
+        let mut payload = Vec::new();
+        encode_block_into(samples, batch_lens, &mut payload);
+        payload
+    }
+
     #[test]
     fn round_trip_preserves_samples_and_batches() {
         let samples = stream(100);
         let batches = vec![30, 50, 20];
-        let enc = encode_block(&samples, &batches);
-        let (decoded, lens) = decode_block(&enc.payload, samples.len()).unwrap();
+        let mut payload = Vec::new();
+        let summary = encode_block_into(&samples, &batches, &mut payload);
+        let (decoded, lens) = decode_block(&payload, samples.len()).unwrap();
         assert_eq!(decoded, samples);
         assert_eq!(lens, batches);
-        assert_eq!(enc.min_ts, samples[0].timestamp_ns);
-        assert_eq!(enc.max_ts, samples[99].timestamp_ns);
+        assert_eq!(summary.min_ts, samples[0].timestamp_ns);
+        assert_eq!(summary.max_ts, samples[99].timestamp_ns);
+        assert!(payload.len() >= samples.len() * MIN_SAMPLE_BYTES);
     }
 
     #[test]
     fn lane_mask_marks_active_lanes_only() {
         let samples = stream(10);
-        let enc = encode_block(&samples, &[10]);
+        let summary = encode_block_into(&samples, &[10], &mut Vec::new());
         // fixed 0..3 active, pmc0 active, pmc1 active (i%3), pmc2/3 idle.
-        assert_eq!(enc.lane_mask & 0b111, 0b111);
-        assert_ne!(enc.lane_mask & (1 << 3), 0);
-        assert_eq!(enc.lane_mask & (1 << 5), 0);
-        assert_eq!(enc.lane_mask & (1 << 6), 0);
+        assert_eq!(summary.lane_mask & 0b111, 0b111);
+        assert_ne!(summary.lane_mask & (1 << 3), 0);
+        assert_eq!(summary.lane_mask & (1 << 5), 0);
+        assert_eq!(summary.lane_mask & (1 << 6), 0);
     }
 
     /// A fleet-shaped stream: 100 µs timestamps with up to 700 ns of
@@ -360,14 +349,14 @@ mod tests {
             cases.push((noisy_stream(n, 42), vec![16; n as usize / 16]));
         }
         for (samples, lens) in cases {
-            let enc = encode_block(&samples, &lens);
-            let per = enc.payload.len() as f64 / samples.len() as f64;
+            let enc = encode(&samples, &lens);
+            let per = enc.len() as f64 / samples.len() as f64;
             assert!(
                 per < 10.0,
                 "{} samples: got {per:.2} bytes/sample",
                 samples.len()
             );
-            let decoded = decode_block(&enc.payload, samples.len()).unwrap();
+            let decoded = decode_block(&enc, samples.len()).unwrap();
             assert_eq!(decoded, (samples, lens));
         }
     }
@@ -377,8 +366,8 @@ mod tests {
         let mut samples = stream(50);
         samples[7].retune = true;
         samples[31].retune = true;
-        let enc = encode_block(&samples, &[50]);
-        let (decoded, _) = decode_block(&enc.payload, 50).unwrap();
+        let enc = encode(&samples, &[50]);
+        let (decoded, _) = decode_block(&enc, 50).unwrap();
         assert_eq!(decoded, samples);
     }
 
@@ -388,19 +377,19 @@ mod tests {
         // flags must not spend a single byte on it, so traces written
         // before the governor existed decode and re-encode unchanged.
         let samples = stream(50);
-        let plain = encode_block(&samples, &[50]);
+        let plain = encode(&samples, &[50]);
         let mut flagged = samples.clone();
         flagged[7].retune = true;
-        let with = encode_block(&flagged, &[50]);
-        assert!(with.payload.len() > plain.payload.len());
-        assert_eq!(&with.payload[..plain.payload.len()], &plain.payload[..]);
+        let with = encode(&flagged, &[50]);
+        assert!(with.len() > plain.len());
+        assert_eq!(&with[..plain.len()], &plain[..]);
     }
 
     #[test]
     fn single_sample_block_round_trips() {
         let samples = stream(1);
-        let enc = encode_block(&samples, &[1]);
-        let (decoded, lens) = decode_block(&enc.payload, 1).unwrap();
+        let enc = encode(&samples, &[1]);
+        let (decoded, lens) = decode_block(&enc, 1).unwrap();
         assert_eq!(decoded, samples);
         assert_eq!(lens, vec![1]);
     }
@@ -413,23 +402,23 @@ mod tests {
         samples[1].fixed[0] = u64::MAX;
         samples[2].pmc[3] = u64::MAX;
         samples[3].pid = u32::MAX;
-        let enc = encode_block(&samples, &[4]);
-        let (decoded, _) = decode_block(&enc.payload, 4).unwrap();
+        let enc = encode(&samples, &[4]);
+        let (decoded, _) = decode_block(&enc, 4).unwrap();
         assert_eq!(decoded, samples);
     }
 
     #[test]
     fn malformed_payloads_decode_to_none() {
         let samples = stream(20);
-        let enc = encode_block(&samples, &[20]);
+        let enc = encode(&samples, &[20]);
         // Truncation at every byte boundary: None, never a panic.
-        for cut in 0..enc.payload.len() {
-            assert!(decode_block(&enc.payload[..cut], 20).is_none(), "cut {cut}");
+        for cut in 0..enc.len() {
+            assert!(decode_block(&enc[..cut], 20).is_none(), "cut {cut}");
         }
         // Wrong count.
-        assert!(decode_block(&enc.payload, 19).is_none());
+        assert!(decode_block(&enc, 19).is_none());
         // Trailing garbage.
-        let mut long = enc.payload.clone();
+        let mut long = enc.clone();
         long.push(0);
         assert!(decode_block(&long, 20).is_none());
         // Arbitrary garbage bytes.

@@ -25,16 +25,6 @@ pub struct CorruptionPlan {
 }
 
 impl CorruptionPlan {
-    /// No damage at all.
-    pub fn none() -> Self {
-        Self {
-            seed: 0,
-            flips: 0,
-            truncate_tail: false,
-            spare_prefix: 0,
-        }
-    }
-
     /// Byte flips only, sparing the first `spare_prefix` bytes.
     pub fn flips(seed: u64, flips: u32, spare_prefix: usize) -> Self {
         Self {
@@ -42,16 +32,6 @@ impl CorruptionPlan {
             flips,
             truncate_tail: false,
             spare_prefix,
-        }
-    }
-
-    /// A torn tail only.
-    pub fn torn_tail(seed: u64) -> Self {
-        Self {
-            seed,
-            flips: 0,
-            truncate_tail: true,
-            spare_prefix: 0,
         }
     }
 }
@@ -145,9 +125,9 @@ mod tests {
     }
 
     #[test]
-    fn none_plan_is_identity() {
+    fn empty_plan_is_identity() {
         let mut image: Vec<u8> = (0..100u8).collect();
-        let log = corrupt(&mut image, &CorruptionPlan::none());
+        let log = corrupt(&mut image, &CorruptionPlan::flips(0, 0, 0));
         assert_eq!(log, CorruptionLog::default());
         assert_eq!(image.len(), 100);
     }

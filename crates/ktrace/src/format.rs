@@ -20,9 +20,9 @@ use kleb::{GovernorStats, ModuleStatus, RecoveryStats};
 use pmu::{HwEvent, ALL_EVENTS, NUM_FIXED, NUM_PROGRAMMABLE};
 
 /// File magic: identifies a ktrace segment, version 1.
-pub const FILE_MAGIC: [u8; 8] = *b"KTRACE1\n";
+const FILE_MAGIC: [u8; 8] = *b"KTRACE1\n";
 /// Block magic, the resync anchor after corruption.
-pub const BLOCK_MAGIC: u32 = 0x4B54_424B; // "KTBK"
+const BLOCK_MAGIC: u32 = 0x4B54_424B; // "KTBK"
 /// Encoded block-header length, bytes.
 pub const BLOCK_HEADER_LEN: usize = 48;
 /// Number of counter lanes a sample carries (3 fixed + 4 programmable).
@@ -308,9 +308,9 @@ pub struct StreamLedger {
 impl StreamLedger {
     /// Encoded payload length of the base layout, bytes. Ledgers with
     /// governor activity append [`Self::GOVERNOR_LEN`] more.
-    pub const ENCODED_LEN: usize = 96;
+    const ENCODED_LEN: usize = 96;
     /// Length of the optional trailing governor section, bytes.
-    pub const GOVERNOR_LEN: usize = 32;
+    const GOVERNOR_LEN: usize = 32;
 
     /// Encodes the fixed-layout ledger payload.
     ///

@@ -20,10 +20,9 @@
 //!   headers and ledger included and all five lanes varying, take more:
 //!   11.87 bytes/sample on perfbench's `fleet_record_replay` at seed 42.
 //! - [`writer`] / [`reader`] — bounded-memory streaming
-//!   [`TraceWriter`]; [`TraceReader`] with index-driven time-range and
-//!   event filtering, plus full corruption recovery: CRC-bad blocks are
-//!   skipped, smashed framing is resynchronised on block magic,
-//!   truncated tails flagged — all losses *counted* in a
+//!   [`TraceWriter`]; [`TraceReader`] with full corruption recovery:
+//!   CRC-bad blocks are skipped, smashed framing is resynchronised on
+//!   block magic, truncated tails flagged — all losses *counted* in a
 //!   [`RecoveryReport`], never guessed, never panicking.
 //! - [`sink`] — [`SharedWriter`], a shared handle on a [`TraceWriter`]
 //!   that a live [`kleb::SampleSink`] (the fleet supervisor's) appends
@@ -51,15 +50,15 @@ pub mod sink;
 pub mod varint;
 pub mod writer;
 
-pub use codec::{decode_block, encode_block, encode_block_into, BlockSummary, EncodedBlock};
+pub use codec::{decode_block, encode_block_into, BlockSummary};
 pub use corrupt::{corrupt, CorruptionLog, CorruptionPlan};
 pub use crc::crc32;
 pub use format::{
-    BlockHeader, StreamHealth, StreamLedger, StreamMeta, TraceError, BLOCK_HEADER_LEN, FILE_MAGIC,
-    KIND_LEDGER, KIND_SAMPLES, NUM_LANES,
+    BlockHeader, StreamHealth, StreamLedger, StreamMeta, TraceError, BLOCK_HEADER_LEN, KIND_LEDGER,
+    KIND_SAMPLES, NUM_LANES,
 };
-pub use manifest::{Manifest, MANIFEST_EXT, MANIFEST_MAGIC};
-pub use reader::{FilteredRead, ReadFilter, RecoveredStream, RecoveryReport, TraceReader};
-pub use replay::{stream_file_name, TraceReplayer, TRACE_EXT};
+pub use manifest::Manifest;
+pub use reader::{RecoveredStream, RecoveryReport, TraceReader};
+pub use replay::{stream_file_name, TraceReplayer};
 pub use sink::SharedWriter;
-pub use writer::{TraceWriter, DEFAULT_BLOCK_TARGET};
+pub use writer::TraceWriter;

@@ -1,7 +1,7 @@
 //! Crash-consistent segment finalization: the sidecar manifest.
 //!
 //! A sealed trace file ends with its ledger block, but a crash *between*
-//! [`sync_to_disk`] and close can leave an ambiguous tail: the reader's
+//! the seal's `fsync` and close can leave an ambiguous tail: the reader's
 //! scan cannot distinguish "the writer died mid-block" from "the file
 //! ends here by design", and garbage appended after the last durability
 //! point (a torn page, a partial O_APPEND write from a dying process)
@@ -21,7 +21,6 @@
 //! Either way the tail is never ambiguous — it is governed by the
 //! manifest or it is untrusted.
 //!
-//! [`sync_to_disk`]: crate::TraceWriter::sync_to_disk
 //! [`RecoveryReport`]: crate::RecoveryReport
 
 use std::path::{Path, PathBuf};
@@ -30,11 +29,11 @@ use crate::crc::crc32;
 use crate::format::TraceError;
 
 /// Manifest file magic (8 bytes; distinct from the trace's `KTRACE1\n`).
-pub const MANIFEST_MAGIC: &[u8; 8] = b"KTRACEM1";
+const MANIFEST_MAGIC: &[u8; 8] = b"KTRACEM1";
 
 /// Extension appended to the trace path: `foo.ktrace` →
 /// `foo.ktrace.manifest`.
-pub const MANIFEST_EXT: &str = "manifest";
+const MANIFEST_EXT: &str = "manifest";
 
 /// What a sealed segment promised: its exact durable geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,7 +49,7 @@ pub struct Manifest {
 
 impl Manifest {
     /// Encoded size, bytes: magic(8) + 3×u64 + crc32(4).
-    pub const ENCODED_LEN: usize = 36;
+    const ENCODED_LEN: usize = 36;
 
     /// Encodes the manifest with its trailing CRC.
     pub fn encode(&self) -> Vec<u8> {
@@ -89,7 +88,7 @@ impl Manifest {
 
     /// The sidecar path for a trace file: the trace path with
     /// `.manifest` appended.
-    pub fn path_for(trace: &Path) -> PathBuf {
+    pub(crate) fn path_for(trace: &Path) -> PathBuf {
         let mut os = trace.as_os_str().to_os_string();
         os.push(".");
         os.push(MANIFEST_EXT);

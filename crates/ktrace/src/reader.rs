@@ -1,4 +1,4 @@
-//! Trace reading, index-driven filtering, and corruption recovery.
+//! Trace reading and corruption recovery.
 //!
 //! The reader trusts nothing it has not checksummed. Scanning is a
 //! single forward pass over the body: validate a block header (its own
@@ -19,13 +19,12 @@
 //! stream is classified recovered or lost — see
 //! [`RecoveryReport::total_lost`].
 
-use crate::codec::decode_block;
+use crate::codec::{decode_block, MIN_SAMPLE_BYTES};
 use crate::crc::crc32;
 use crate::format::{
     BlockHeader, StreamLedger, StreamMeta, TraceError, BLOCK_HEADER_LEN, KIND_LEDGER, KIND_SAMPLES,
 };
 use kleb::Sample;
-use pmu::{HwEvent, NUM_FIXED};
 
 /// What a recovery pass saw. All counters are exact, never estimates.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -103,73 +102,15 @@ impl RecoveredStream {
     }
 }
 
-/// Block-skipping predicate for filtered reads: a half-open time range
-/// plus an optional lane that must be active.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReadFilter {
-    /// Inclusive start, nanoseconds.
-    pub start_ns: u64,
-    /// Exclusive end, nanoseconds.
-    pub end_ns: u64,
-    /// Lane (0‥2 fixed, 3‥6 pmc) that must be nonzero somewhere in a
-    /// block for it to be read; `None` reads all lanes.
-    pub lane: Option<usize>,
-}
-
-impl ReadFilter {
-    /// Everything: all time, all lanes.
-    pub fn all() -> Self {
-        Self {
-            start_ns: 0,
-            end_ns: u64::MAX,
-            lane: None,
-        }
-    }
-
-    /// Restricts to `[start_ns, end_ns)`.
-    pub fn range(mut self, start_ns: u64, end_ns: u64) -> Self {
-        self.start_ns = start_ns;
-        self.end_ns = end_ns;
-        self
-    }
-
-    /// Requires lane `lane` to be active in a block.
-    pub fn lane(mut self, lane: usize) -> Self {
-        self.lane = Some(lane);
-        self
-    }
-
-    fn admits(&self, header: &BlockHeader) -> bool {
-        if header.max_ts < self.start_ns || header.min_ts >= self.end_ns {
-            return false;
-        }
-        match self.lane {
-            Some(lane) => header.lane_mask & (1u16 << lane) != 0,
-            None => true,
-        }
-    }
-}
-
-/// A filtered read's result: the matching samples plus proof the index
-/// did its job.
-#[derive(Debug, Clone)]
-pub struct FilteredRead {
-    /// Samples inside the filter's time range, from admitted blocks.
-    pub samples: Vec<Sample>,
-    /// Blocks whose payload was decoded.
-    pub blocks_read: u64,
-    /// Blocks skipped purely on their header index, payload untouched.
-    pub blocks_skipped: u64,
-    /// The recovery counters for the pass.
-    pub report: RecoveryReport,
-}
-
-/// A decoded trace held in memory, ready for repeated filtered reads.
+/// A trace image held in memory, ready to be recovered.
 #[derive(Debug, Clone)]
 pub struct TraceReader {
     meta: StreamMeta,
     bytes: Vec<u8>,
     body_offset: usize,
+    /// Samples the governing manifest says the writer appended, if one
+    /// was found: what [`TraceReader::read_all`] reserves for.
+    manifest_samples: Option<u64>,
 }
 
 impl TraceReader {
@@ -187,7 +128,8 @@ impl TraceReader {
     /// [`TraceError::BadHeader`] if it is not a ktrace segment.
     pub fn open(path: &std::path::Path) -> Result<Self, TraceError> {
         let mut bytes = std::fs::read(path)?;
-        if let Some(manifest) = crate::manifest::Manifest::load(path) {
+        let manifest = crate::manifest::Manifest::load(path);
+        if let Some(manifest) = manifest {
             if (manifest.file_len as usize) <= bytes.len() {
                 bytes.truncate(manifest.file_len as usize);
             }
@@ -195,7 +137,9 @@ impl TraceReader {
             // itself was lost after the fact; scan what remains and let
             // recovery flag the truncated tail.
         }
-        Self::from_bytes(bytes)
+        let mut reader = Self::from_bytes(bytes)?;
+        reader.manifest_samples = manifest.map(|m| m.samples_written);
+        Ok(reader)
     }
 
     /// Wraps an in-memory trace image.
@@ -210,6 +154,7 @@ impl TraceReader {
             meta,
             bytes,
             body_offset,
+            manifest_samples: None,
         })
     }
 
@@ -218,23 +163,22 @@ impl TraceReader {
         &self.meta
     }
 
-    /// The lane index (for [`ReadFilter::lane`]) carrying `event`, if it
-    /// was configured on this stream.
-    pub fn lane_of(&self, event: HwEvent) -> Option<usize> {
-        self.meta
-            .events
-            .iter()
-            .position(|&e| e == event)
-            .map(|i| NUM_FIXED + i)
-    }
-
     /// Recovers the whole stream (batch structure and ledger included).
+    ///
+    /// With a manifest, the samples are decoded into a `Vec` reserved
+    /// for the count it records, so a sealed stream reads back without
+    /// regrowth or slack. The reserve is capped at what the body's
+    /// bytes could decode to, so a corrupt count cannot allocate without
+    /// bound.
     pub fn read_all(&self) -> RecoveredStream {
-        let mut samples = Vec::new();
+        let body_len = self.bytes.len().saturating_sub(self.body_offset);
+        let reserve = self
+            .manifest_samples
+            .map_or(0, |n| n.min((body_len / MIN_SAMPLE_BYTES) as u64) as usize);
+        let mut samples = Vec::with_capacity(reserve);
         let mut batch_lens = Vec::new();
         let mut ledger = None;
         let report = self.scan(
-            |_| true,
             |s, b| {
                 samples.extend_from_slice(s);
                 batch_lens.extend_from_slice(b);
@@ -250,49 +194,10 @@ impl TraceReader {
         }
     }
 
-    /// Reads only the samples admitted by `filter`, skipping
-    /// non-matching blocks via the header index without touching their
-    /// payloads.
-    pub fn read_filtered(&self, filter: &ReadFilter) -> FilteredRead {
-        let mut samples = Vec::new();
-        let mut blocks_read = 0u64;
-        let mut blocks_skipped = 0u64;
-        let mut ledger = None;
-        let report = self.scan(
-            |header| {
-                if filter.admits(header) {
-                    blocks_read += 1;
-                    true
-                } else {
-                    blocks_skipped += 1;
-                    false
-                }
-            },
-            |s, _| {
-                samples.extend(
-                    s.iter()
-                        .filter(|s| {
-                            s.timestamp_ns >= filter.start_ns && s.timestamp_ns < filter.end_ns
-                        })
-                        .copied(),
-                );
-            },
-            &mut ledger,
-        );
-        FilteredRead {
-            samples,
-            blocks_read,
-            blocks_skipped,
-            report,
-        }
-    }
-
-    /// The forward recovery scan shared by all reads. `admit` decides
-    /// per valid header whether to decode the payload; `emit` receives
-    /// each decoded block's samples and batch lengths.
+    /// The forward recovery scan: `emit` receives each decoded block's
+    /// samples and batch lengths.
     fn scan(
         &self,
-        mut admit: impl FnMut(&BlockHeader) -> bool,
         mut emit: impl FnMut(&[Sample], &[u64]),
         ledger: &mut Option<StreamLedger>,
     ) -> RecoveryReport {
@@ -346,7 +251,7 @@ impl TraceReader {
                     if !payload_ok {
                         report.blocks_corrupt += 1;
                         report.samples_lost += header.count as u64;
-                    } else if admit(&header) {
+                    } else {
                         match decode_block(payload, header.count as usize) {
                             Some((samples, batch_lens)) => {
                                 report.blocks_ok += 1;
@@ -358,10 +263,6 @@ impl TraceReader {
                                 report.samples_lost += header.count as u64;
                             }
                         }
-                    } else {
-                        // Skipped by the index: present, just not wanted.
-                        report.blocks_ok += 1;
-                        report.samples_recovered += header.count as u64;
                     }
                 }
                 KIND_LEDGER => {
@@ -394,6 +295,7 @@ impl TraceReader {
 mod tests {
     use super::*;
     use crate::writer::TraceWriter;
+    use pmu::HwEvent;
 
     fn meta() -> StreamMeta {
         StreamMeta {
@@ -455,36 +357,44 @@ mod tests {
     }
 
     #[test]
-    fn range_filter_skips_blocks_via_index() {
-        let bytes = written(128, 32);
-        let reader = TraceReader::from_bytes(bytes).unwrap();
-        let filtered = reader.read_filtered(&ReadFilter::all().range(3_300_000, 6_500_000));
-        assert!(filtered.blocks_skipped >= 1, "index skipped whole blocks");
-        assert!(filtered
-            .samples
-            .iter()
-            .all(|s| (3_300_000..6_500_000).contains(&s.timestamp_ns)));
-        // Same answer as brute-force filtering of a full read.
-        let brute: Vec<Sample> = reader
-            .read_all()
-            .samples
-            .into_iter()
-            .filter(|s| (3_300_000..6_500_000).contains(&s.timestamp_ns))
-            .collect();
-        assert_eq!(filtered.samples, brute);
-    }
+    fn read_all_reserves_the_manifest_count_within_the_body_cap() {
+        use crate::manifest::Manifest;
 
-    #[test]
-    fn lane_filter_skips_inactive_blocks() {
-        // pmc[1] only fires from sample 64 on; with 32-sample blocks the
-        // first two blocks are skippable by the lane index.
-        let bytes = written(128, 32);
-        let reader = TraceReader::from_bytes(bytes).unwrap();
-        let lane = reader.lane_of(HwEvent::LlcMiss).unwrap();
-        let filtered = reader.read_filtered(&ReadFilter::all().lane(lane));
-        assert!(filtered.blocks_skipped >= 2, "{filtered:?}");
-        assert!(filtered.samples.iter().all(|s| s.seq >= 64));
-        assert_eq!(reader.lane_of(HwEvent::ArithMul), None);
+        let dir = std::env::temp_dir().join(format!("ktrace-reserve-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("r.ktrace");
+        let mut w = TraceWriter::create(&path, &meta())
+            .unwrap()
+            .block_target(32);
+        for chunk in (0..100).collect::<Vec<u64>>().chunks(16) {
+            let batch: Vec<Sample> = chunk.iter().map(|&i| sample(i)).collect();
+            w.append_batch(&batch).unwrap();
+        }
+        w.seal_durable(&StreamLedger::default()).unwrap();
+        let expected: Vec<Sample> = (0..100).map(sample).collect();
+
+        // A sealed stream decodes into exactly its recorded count.
+        let rec = TraceReader::open(&path).unwrap().read_all();
+        assert_eq!(rec.samples, expected);
+        assert_eq!(rec.samples.capacity(), 100, "no regrowth, no slack");
+
+        // A manifest claiming far more samples than the body holds reads
+        // back the same samples, and reserves no more than the body's
+        // bytes could decode to.
+        let mut manifest = Manifest::load(&path).expect("manifest committed");
+        manifest.samples_written = u64::MAX / 2;
+        manifest.write_atomic(&path).unwrap();
+        let reader = TraceReader::open(&path).unwrap();
+        let cap = (reader.bytes.len() - reader.body_offset) / MIN_SAMPLE_BYTES;
+        let rec = reader.read_all();
+        assert_eq!(rec.samples, expected);
+        assert!(rec.report.is_clean(), "{:?}", rec.report);
+        assert!(
+            (100..=cap).contains(&rec.samples.capacity()),
+            "capacity {} outside 100..={cap}",
+            rec.samples.capacity()
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -7,9 +7,6 @@
 //! explicitly (`wrapping_*`): decoding attacker-shaped bytes must never
 //! overflow-panic.
 
-/// Maximum encoded length of a `u64` varint.
-pub const MAX_VARINT_LEN: usize = 10;
-
 /// Appends `v` as an LEB128 varint.
 pub fn put_u64(out: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {
@@ -21,8 +18,8 @@ pub fn put_u64(out: &mut Vec<u8>, mut v: u64) {
 
 /// Reads an LEB128 varint at `*pos`, advancing it.
 ///
-/// Returns `None` on truncated input or a varint longer than
-/// [`MAX_VARINT_LEN`] bytes (corrupt data, not a valid encoding).
+/// Returns `None` on truncated input or a varint longer than the 10
+/// bytes a `u64` needs (corrupt data, not a valid encoding).
 pub fn get_u64(bytes: &[u8], pos: &mut usize) -> Option<u64> {
     let mut v: u64 = 0;
     let mut shift = 0u32;

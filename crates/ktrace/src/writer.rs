@@ -20,7 +20,7 @@ use crate::format::{BlockHeader, StreamLedger, StreamMeta, TraceError, KIND_LEDG
 use kleb::Sample;
 
 /// Default block flush threshold, samples.
-pub const DEFAULT_BLOCK_TARGET: usize = 512;
+const DEFAULT_BLOCK_TARGET: usize = 512;
 
 /// Streaming columnar writer over any [`Write`] sink.
 #[derive(Debug)]
@@ -192,18 +192,6 @@ impl TraceWriter<std::fs::File> {
         let mut writer = Self::new(file, meta)?;
         writer.path = Some(path.to_path_buf());
         Ok(writer)
-    }
-
-    /// [`TraceWriter::sync`] plus `fsync` to the device — the strongest
-    /// durability point the platform offers.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceError::Io`] on a failed write or sync.
-    pub fn sync_to_disk(&mut self) -> Result<(), TraceError> {
-        self.sync()?;
-        self.sink.sync_data()?;
-        Ok(())
     }
 
     /// Crash-consistent seal: [`TraceWriter::finish`] + `fsync`, then

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use kleb::Sample;
-use ktrace::{decode_block, encode_block, StreamLedger, StreamMeta, TraceReader, TraceWriter};
+use ktrace::{decode_block, encode_block_into, StreamLedger, StreamMeta, TraceReader, TraceWriter};
 use pmu::HwEvent;
 
 fn arb_sample() -> impl Strategy<Value = Sample> {
@@ -87,8 +87,9 @@ proptest! {
         sizes in proptest::collection::vec(0u64..16, 1..8),
     ) {
         let lens = batch_lens(samples.len(), &sizes);
-        let enc = encode_block(&samples, &lens);
-        let decoded = decode_block(&enc.payload, samples.len());
+        let mut payload = Vec::new();
+        encode_block_into(&samples, &lens, &mut payload);
+        let decoded = decode_block(&payload, samples.len());
         prop_assert_eq!(decoded, Some((samples, lens)));
     }
 
@@ -100,12 +101,13 @@ proptest! {
         sizes in proptest::collection::vec(0u64..16, 1..8),
     ) {
         let lens = batch_lens(samples.len(), &sizes);
-        let enc = encode_block(&samples, &lens);
-        let (decoded, lens_back) = decode_block(&enc.payload, samples.len()).unwrap();
+        let mut payload = Vec::new();
+        let summary = encode_block_into(&samples, &lens, &mut payload);
+        let (decoded, lens_back) = decode_block(&payload, samples.len()).unwrap();
         prop_assert_eq!(&decoded, &samples);
         prop_assert_eq!(lens_back, lens);
-        prop_assert_eq!(enc.min_ts, samples[0].timestamp_ns);
-        prop_assert_eq!(enc.max_ts, samples[samples.len() - 1].timestamp_ns);
+        prop_assert_eq!(summary.min_ts, samples[0].timestamp_ns);
+        prop_assert_eq!(summary.max_ts, samples[samples.len() - 1].timestamp_ns);
     }
 
     /// The whole file layer — header, blocks, ledger — round-trips:

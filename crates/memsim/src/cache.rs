@@ -47,7 +47,8 @@ impl CacheConfig {
     }
 
     /// Total capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn capacity_bytes(&self) -> u64 {
         self.line_size as u64 * self.sets as u64 * self.ways as u64
     }
 }
@@ -71,7 +72,7 @@ pub struct CacheStats {
 
 impl CacheStats {
     /// Miss ratio in `0.0..=1.0`; zero when no accesses occurred.
-    pub fn miss_ratio(&self) -> f64 {
+    fn miss_ratio(&self) -> f64 {
         if self.accesses == 0 {
             0.0
         } else {
@@ -371,7 +372,8 @@ impl Cache {
     }
 
     /// Resets statistics without touching cache contents.
-    pub fn reset_stats(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn reset_stats(&mut self) {
         self.stats = CacheStats::default();
     }
 

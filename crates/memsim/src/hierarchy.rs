@@ -425,7 +425,8 @@ impl Hierarchy {
     }
 
     /// Resets every core's statistics (cache contents retained).
-    pub fn reset_stats(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn reset_stats(&mut self) {
         for private in &mut self.cores {
             private.stats = Levels::default();
         }

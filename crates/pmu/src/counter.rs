@@ -45,27 +45,6 @@ impl Counter {
         self.value = (sum & MASK as u128) as u64;
         overflows
     }
-
-    /// Resets to zero.
-    pub fn reset(&mut self) {
-        self.value = 0;
-    }
-
-    /// Preloads the counter so it overflows after `period` more occurrences.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero or does not fit in 48 bits.
-    pub fn preload_for_period(&mut self, period: u64) {
-        assert!(period > 0, "sampling period must be non-zero");
-        assert!(period <= MASK, "sampling period must fit in 48 bits");
-        self.value = (MASK + 1) - period;
-    }
-
-    /// Occurrences remaining until the next overflow.
-    pub const fn until_overflow(&self) -> u64 {
-        MASK + 1 - self.value
-    }
 }
 
 #[cfg(test)]
@@ -98,34 +77,11 @@ mod tests {
     #[test]
     fn bulk_add_wraps_like_a_raw_adder() {
         let mut c = Counter::new();
-        c.preload_for_period(100);
-        // 250 occurrences: the counter crosses 2^48 once and continues from
-        // zero (re-arming for the next period is the PMI handler's job).
+        // Preloaded to overflow after 100 occurrences. 250 occurrences:
+        // the counter crosses 2^48 once and continues from zero (re-arming
+        // for the next period is the PMI handler's job).
+        c.write(MASK + 1 - 100);
         assert_eq!(c.add(250), 1);
         assert_eq!(c.value(), 150);
-    }
-
-    #[test]
-    fn preload_then_until_overflow() {
-        let mut c = Counter::new();
-        c.preload_for_period(1000);
-        assert_eq!(c.until_overflow(), 1000);
-        assert_eq!(c.add(999), 0);
-        assert_eq!(c.until_overflow(), 1);
-        assert_eq!(c.add(1), 1);
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_period_panics() {
-        Counter::new().preload_for_period(0);
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut c = Counter::new();
-        let _ = c.add(42);
-        c.reset();
-        assert_eq!(c.value(), 0);
     }
 }

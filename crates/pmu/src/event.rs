@@ -73,7 +73,7 @@ pub enum HwEvent {
 }
 
 /// Number of distinct [`HwEvent`] kinds.
-pub const N_EVENTS: usize = 16;
+const N_EVENTS: usize = 16;
 
 /// All events, in discriminant order.
 pub const ALL_EVENTS: [HwEvent; N_EVENTS] = [
@@ -153,35 +153,6 @@ impl HwEvent {
     #[inline]
     pub const fn index(self) -> usize {
         self as usize
-    }
-
-    /// Whether this event is *architectural* (deterministic for a given
-    /// program), as opposed to microarchitectural (dependent on machine
-    /// state).
-    ///
-    /// The paper's Fig. 9 compares tools on deterministic events only,
-    /// because microarchitectural events legitimately differ run to run.
-    pub const fn is_deterministic(self) -> bool {
-        matches!(
-            self,
-            HwEvent::InstructionsRetired
-                | HwEvent::Load
-                | HwEvent::Store
-                | HwEvent::BranchRetired
-                | HwEvent::ArithMul
-                | HwEvent::ArithDiv
-                | HwEvent::FpOps
-        )
-    }
-
-    /// Fixed-function counter index for this event, if it has one.
-    pub const fn fixed_counter(self) -> Option<usize> {
-        match self {
-            HwEvent::InstructionsRetired => Some(0),
-            HwEvent::CoreCycles => Some(1),
-            HwEvent::RefCycles => Some(2),
-            _ => None,
-        }
     }
 
     /// Short uppercase mnemonic used in experiment output, matching the
@@ -350,14 +321,6 @@ mod tests {
     }
 
     #[test]
-    fn fixed_counters_cover_first_three() {
-        assert_eq!(HwEvent::InstructionsRetired.fixed_counter(), Some(0));
-        assert_eq!(HwEvent::CoreCycles.fixed_counter(), Some(1));
-        assert_eq!(HwEvent::RefCycles.fixed_counter(), Some(2));
-        assert_eq!(HwEvent::LlcMiss.fixed_counter(), None);
-    }
-
-    #[test]
     fn llc_events_use_architectural_encoding() {
         assert_eq!(HwEvent::LlcReference.code(), EventCode::new(0x2E, 0x4F));
         assert_eq!(HwEvent::LlcMiss.code(), EventCode::new(0x2E, 0x41));
@@ -402,14 +365,6 @@ mod tests {
             .into_iter()
             .collect();
         assert_eq!(c[HwEvent::Load], 5);
-    }
-
-    #[test]
-    fn deterministic_classification() {
-        assert!(HwEvent::Load.is_deterministic());
-        assert!(HwEvent::InstructionsRetired.is_deterministic());
-        assert!(!HwEvent::LlcMiss.is_deterministic());
-        assert!(!HwEvent::BranchMiss.is_deterministic());
     }
 
     #[test]

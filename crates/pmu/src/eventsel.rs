@@ -16,10 +16,8 @@ use crate::event::{EventCode, HwEvent, Privilege};
 
 const USR_BIT: u64 = 1 << 16;
 const OS_BIT: u64 = 1 << 17;
-const EDGE_BIT: u64 = 1 << 18;
 const INT_BIT: u64 = 1 << 20;
 const EN_BIT: u64 = 1 << 22;
-const INV_BIT: u64 = 1 << 23;
 
 /// A decoded view of one event-select register.
 ///
@@ -96,11 +94,6 @@ impl EventSel {
         self.set(OS_BIT, on)
     }
 
-    /// Sets the edge-detect bit.
-    pub fn edge(self, on: bool) -> Self {
-        self.set(EDGE_BIT, on)
-    }
-
     /// Sets the INT bit (PMI on overflow), used by sampling tools.
     pub fn int_enable(self, on: bool) -> Self {
         self.set(INT_BIT, on)
@@ -111,28 +104,18 @@ impl EventSel {
         self.set(EN_BIT, on)
     }
 
-    /// Sets the INV bit.
-    pub fn invert(self, on: bool) -> Self {
-        self.set(INV_BIT, on)
-    }
-
-    /// Sets the 8-bit counter mask.
-    pub fn cmask(self, mask: u8) -> Self {
-        Self((self.0 & !(0xFFu64 << 24)) | ((mask as u64) << 24))
-    }
-
     /// True if the EN bit is set.
     pub const fn is_enabled(self) -> bool {
         self.0 & EN_BIT != 0
     }
 
     /// True if the USR bit is set.
-    pub const fn counts_user(self) -> bool {
+    const fn counts_user(self) -> bool {
         self.0 & USR_BIT != 0
     }
 
     /// True if the OS bit is set.
-    pub const fn counts_os(self) -> bool {
+    const fn counts_os(self) -> bool {
         self.0 & OS_BIT != 0
     }
 
@@ -187,17 +170,10 @@ mod tests {
         let sel = EventSel::for_event(HwEvent::BranchRetired)
             .usr(true)
             .os(true)
-            .enabled(true)
-            .cmask(3);
+            .enabled(true);
         let back = EventSel::from_bits(sel.bits());
         assert_eq!(back, sel);
         assert_eq!(back.event(), Some(HwEvent::BranchRetired));
-    }
-
-    #[test]
-    fn cmask_replaces_not_ors() {
-        let sel = EventSel::new().cmask(0xFF).cmask(0x01);
-        assert_eq!((sel.bits() >> 24) & 0xFF, 0x01);
     }
 
     #[test]

@@ -52,15 +52,15 @@ pub mod counter;
 pub mod event;
 pub mod eventsel;
 pub mod msr;
-pub mod multiplex;
+mod multiplex;
 pub mod protocol;
 #[cfg(test)]
 mod reference;
 mod unit;
 
 pub use counter::{Counter, COUNTER_WIDTH_BITS};
-pub use event::{EventCode, EventCounts, HwEvent, Privilege, ALL_EVENTS, N_EVENTS};
+pub use event::{EventCode, EventCounts, HwEvent, Privilege, ALL_EVENTS};
 pub use eventsel::EventSel;
 pub use multiplex::{MultiplexEstimate, Multiplexer};
 pub use protocol::{ProtocolChecker, ProtocolViolation};
-pub use unit::{Pmu, PmuError, PmuSnapshot, NUM_FIXED, NUM_PROGRAMMABLE};
+pub use unit::{Pmu, PmuError, NUM_FIXED, NUM_PROGRAMMABLE};

@@ -41,7 +41,6 @@ pub struct MultiplexEstimate {
 ///     ],
 ///     4,
 /// );
-/// assert_eq!(mux.group_count(), 2);
 /// // Group 0 ran 10ms and counted these raw values:
 /// mux.record_and_rotate(10_000_000, &[100, 200, 300, 400]);
 /// // Group 1 ran 10ms:
@@ -87,13 +86,8 @@ impl Multiplexer {
 
     /// Number of groups the events were partitioned into. `1` means no
     /// multiplexing is needed and estimates are exact.
-    pub fn group_count(&self) -> usize {
+    fn group_count(&self) -> usize {
         self.order.len().div_ceil(self.width)
-    }
-
-    /// True when every requested event fits on the counters simultaneously.
-    pub fn is_exact(&self) -> bool {
-        self.group_count() == 1
     }
 
     /// Request-order index of the first event in the current group.
@@ -180,7 +174,7 @@ mod tests {
     #[test]
     fn no_multiplexing_when_events_fit() {
         let mut mux = Multiplexer::new(vec![HwEvent::Load, HwEvent::Store], 4);
-        assert!(mux.is_exact());
+        assert_eq!(mux.group_count(), 1);
         mux.record_and_rotate(1000, &[10, 20]);
         mux.record_and_rotate(1000, &[5, 5]);
         let est = mux.estimates();

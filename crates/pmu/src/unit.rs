@@ -41,34 +41,6 @@ impl fmt::Display for PmuError {
 
 impl std::error::Error for PmuError {}
 
-/// A point-in-time copy of every counter, as a tool would capture with a
-/// burst of reads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PmuSnapshot {
-    /// Programmable counter values, `IA32_PMC0..3`.
-    pub pmc: [u64; NUM_PROGRAMMABLE],
-    /// Fixed counter values, `IA32_FIXED_CTR0..2`.
-    pub fixed: [u64; NUM_FIXED],
-}
-
-impl PmuSnapshot {
-    /// Per-counter difference `self - earlier`, wrapping at 48 bits, which is
-    /// how tools turn two snapshots into an interval count.
-    pub fn delta_since(&self, earlier: &PmuSnapshot) -> PmuSnapshot {
-        let wrap = |now: u64, then: u64| {
-            now.wrapping_sub(then) & ((1u64 << crate::COUNTER_WIDTH_BITS) - 1)
-        };
-        let mut out = PmuSnapshot::default();
-        for i in 0..NUM_PROGRAMMABLE {
-            out.pmc[i] = wrap(self.pmc[i], earlier.pmc[i]);
-        }
-        for i in 0..NUM_FIXED {
-            out.fixed[i] = wrap(self.fixed[i], earlier.fixed[i]);
-        }
-        out
-    }
-}
-
 /// The event each fixed-function counter counts.
 const FIXED_EVENTS: [HwEvent; NUM_FIXED] = [
     HwEvent::InstructionsRetired,
@@ -287,18 +259,6 @@ impl Pmu {
         }
     }
 
-    /// Captures all counters at once.
-    pub fn snapshot(&self) -> PmuSnapshot {
-        let mut snap = PmuSnapshot::default();
-        for i in 0..NUM_PROGRAMMABLE {
-            snap.pmc[i] = self.pmc[i].value();
-        }
-        for i in 0..NUM_FIXED {
-            snap.fixed[i] = self.fixed[i].value();
-        }
-        snap
-    }
-
     /// The event-select currently programmed on programmable counter `n`.
     ///
     /// # Panics
@@ -456,13 +416,24 @@ impl Pmu {
         std::mem::take(&mut self.pmi_pending)
     }
 
+    /// Every counter's value: the programmable ones, then the fixed ones.
+    #[cfg(test)]
+    pub(crate) fn counters(&self) -> ([u64; NUM_PROGRAMMABLE], [u64; NUM_FIXED]) {
+        (
+            std::array::from_fn(|i| self.pmc[i].value()),
+            std::array::from_fn(|i| self.fixed[i].value()),
+        )
+    }
+
     /// True if a PMI is pending (without consuming it).
-    pub fn pmi_pending(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn pmi_pending(&self) -> bool {
         self.pmi_pending
     }
 
     /// Overflow status bits (`IA32_PERF_GLOBAL_STATUS`).
-    pub fn global_status(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn global_status(&self) -> u64 {
         self.global_status
     }
 
@@ -474,16 +445,10 @@ impl Pmu {
         }
     }
 
-    /// Ground truth across both privilege levels.
-    pub fn ledger_total(&self) -> EventCounts {
-        let mut total = self.ledger_user;
-        total.merge(&self.ledger_kernel);
-        total
-    }
-
-    /// Convenience used by kernel code: disables every counter by clearing
-    /// `IA32_PERF_GLOBAL_CTRL`, returning the previous value so it can be
-    /// restored. This is the mechanism K-LEB uses for process isolation.
+    /// Disables every counter by clearing `IA32_PERF_GLOBAL_CTRL`,
+    /// returning the previous value so it can be restored. K-LEB's module
+    /// isolates processes the same way, but through a charged `wrmsr` of
+    /// that MSR (`ksim::KernelCtx::wrmsr_on`).
     pub fn freeze(&mut self) -> u64 {
         let saved = std::mem::take(&mut self.global_ctrl);
         self.rebuild_plans();
@@ -636,25 +601,6 @@ mod tests {
         pmu.observe(&batch(HwEvent::LlcMiss, 4), Privilege::Kernel);
         assert_eq!(pmu.ledger(Privilege::User).get(HwEvent::LlcMiss), 3);
         assert_eq!(pmu.ledger(Privilege::Kernel).get(HwEvent::LlcMiss), 4);
-        assert_eq!(pmu.ledger_total().get(HwEvent::LlcMiss), 7);
-    }
-
-    #[test]
-    fn snapshot_delta() {
-        let mut pmu = programmed(HwEvent::BranchRetired, 1);
-        let before = pmu.snapshot();
-        pmu.observe(&batch(HwEvent::BranchRetired, 123), Privilege::User);
-        let after = pmu.snapshot();
-        assert_eq!(after.delta_since(&before).pmc[1], 123);
-    }
-
-    #[test]
-    fn snapshot_delta_handles_wrap() {
-        let mut a = PmuSnapshot::default();
-        let mut b = PmuSnapshot::default();
-        a.pmc[0] = (1u64 << 48) - 10;
-        b.pmc[0] = 5; // wrapped past zero
-        assert_eq!(b.delta_since(&a).pmc[0], 15);
     }
 
     #[test]

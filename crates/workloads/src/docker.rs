@@ -86,7 +86,8 @@ impl DockerImage {
 
     /// The paper's classification boundary (MPKI 10, after Muralidhara et
     /// al.): true if this image should classify as memory-intensive.
-    pub const fn expect_memory_intensive(self) -> bool {
+    #[cfg(test)]
+    const fn expect_memory_intensive(self) -> bool {
         matches!(
             self,
             DockerImage::Apache | DockerImage::Nginx | DockerImage::Tomcat
@@ -160,7 +161,7 @@ impl DockerImage {
     }
 
     /// The service process: `blocks` work blocks of this image's profile.
-    pub fn service(self, blocks: u64, seed: u64) -> Service {
+    fn service(self, blocks: u64, seed: u64) -> Service {
         Service {
             image: self,
             remaining: blocks,
@@ -189,7 +190,7 @@ impl std::fmt::Display for DockerImage {
 
 /// The containerized service process.
 #[derive(Debug, Clone)]
-pub struct Service {
+struct Service {
     image: DockerImage,
     remaining: u64,
     seed: u64,

@@ -62,11 +62,6 @@ impl Matmul {
         Self::new(1280, seed, 0.004)
     }
 
-    /// A fast variant for tests (~5 ms).
-    pub fn small(seed: u64) -> Self {
-        Self::new(160, seed, 0.004)
-    }
-
     /// Total floating-point operations: `2 n^3`.
     pub fn flops(&self) -> u64 {
         2 * self.n * self.n * self.n

@@ -20,6 +20,8 @@
 //! misses far above the benign run (Fig. 6) and an MPKI jump (§IV-C reports
 //! 7.52 → 27.53 on average).
 
+use std::sync::{Arc, Mutex};
+
 use pmu::{EventCounts, HwEvent};
 
 use ksim::{ItemResult, WorkBlock, WorkItem, Workload};
@@ -135,7 +137,7 @@ impl MeltdownAttack {
 
     /// `repeats` prints of the secret, with a Flush+Reload recovery round
     /// before every `attack_interval`-th print.
-    pub fn with_repeats(repeats: u64, attack_interval: u64, seed: u64) -> Self {
+    fn with_repeats(repeats: u64, attack_interval: u64, seed: u64) -> Self {
         assert!(attack_interval > 0);
         Self {
             repeats,
@@ -161,16 +163,11 @@ impl MeltdownAttack {
         &self.recovered
     }
 
-    /// Shared handle variant: exposes recovered bytes after the machine ran
-    /// the workload (workloads are moved into the machine).
-    pub fn with_shared_recovery(seed: u64) -> (SharedRecovery, SharedMeltdown) {
-        Self::new(seed).into_shared()
-    }
-
     /// Wraps this attack so its recovered bytes land in a shared buffer
-    /// when it exits.
-    pub fn into_shared(self) -> (SharedRecovery, SharedMeltdown) {
-        let shared = SharedRecovery::default();
+    /// when it exits, for inspection after the machine consumed the
+    /// workload.
+    pub fn into_shared(self) -> (Arc<Mutex<Vec<u8>>>, SharedMeltdown) {
+        let shared: Arc<Mutex<Vec<u8>>> = Arc::default();
         (
             shared.clone(),
             SharedMeltdown {
@@ -185,15 +182,12 @@ impl MeltdownAttack {
     }
 }
 
-/// Shared recovered-secret buffer.
-pub type SharedRecovery = std::sync::Arc<std::sync::Mutex<Vec<u8>>>;
-
 /// A [`MeltdownAttack`] that mirrors its recovered bytes into a shared
 /// buffer, for inspection after the machine consumed the workload.
 #[derive(Debug)]
 pub struct SharedMeltdown {
     inner: MeltdownAttack,
-    shared: SharedRecovery,
+    shared: Arc<Mutex<Vec<u8>>>,
 }
 
 impl Workload for SharedMeltdown {
@@ -329,7 +323,7 @@ mod tests {
     #[test]
     fn attack_recovers_the_secret_from_cache_timing() {
         let mut m = Machine::new(MachineConfig::i7_920(1));
-        let (shared, attack) = MeltdownAttack::with_shared_recovery(5);
+        let (shared, attack) = MeltdownAttack::new(5).into_shared();
         let pid = m.spawn("meltdown", CoreId(0), Box::new(attack));
         m.run_until_exit(pid).unwrap();
         assert_eq!(shared.lock().unwrap().as_slice(), SECRET);

@@ -21,7 +21,6 @@ pub struct Synthetic {
     events: EventCounts,
     accesses: u64,
     working_set: u64,
-    sleep_every: Option<(u64, Duration)>,
     seed: u64,
 }
 
@@ -36,7 +35,6 @@ impl Synthetic {
             events: EventCounts::new(),
             accesses: 0,
             working_set: 0,
-            sleep_every: None,
             seed: 1,
         }
     }
@@ -76,33 +74,12 @@ impl Synthetic {
         self.seed = seed;
         self
     }
-
-    /// Sleeps for `pause` after every `every` blocks.
-    pub fn sleep_every(mut self, every: u64, pause: Duration) -> Self {
-        assert!(every > 0);
-        self.sleep_every = Some((every, pause));
-        self
-    }
-
-    /// Blocks configured.
-    pub fn block_count(&self) -> u64 {
-        self.blocks
-    }
 }
 
 impl Workload for Synthetic {
     fn next(&mut self, _prev: &ItemResult) -> Option<WorkItem> {
         if self.emitted >= self.blocks {
             return None;
-        }
-        if let Some((every, pause)) = self.sleep_every {
-            if self.emitted > 0 && self.emitted.is_multiple_of(every) {
-                // Emit the sleep once per boundary by nudging past it.
-                self.sleep_every = Some((every, pause));
-                self.emitted += 1;
-                self.blocks += 1; // keep the same number of work blocks
-                return Some(WorkItem::Sleep(pause));
-            }
         }
         self.emitted += 1;
         let mut block = WorkBlock::compute(self.instructions, self.cycles).with_events(self.events);
@@ -149,22 +126,6 @@ mod tests {
         let info = m.run_until_exit(pid).unwrap();
         let t = info.wall_time().as_millis_f64();
         assert!(t > 9.0 && t < 11.5, "10ms target, got {t:.2}ms");
-    }
-
-    #[test]
-    fn sleep_every_inserts_sleeps() {
-        let mut w = Synthetic::new(6, 10, 10).sleep_every(2, Duration::from_micros(50));
-        let mut sleeps = 0;
-        let mut blocks = 0;
-        while let Some(item) = w.next(&ItemResult::None) {
-            match item {
-                WorkItem::Sleep(_) => sleeps += 1,
-                WorkItem::Block(_) => blocks += 1,
-                _ => {}
-            }
-        }
-        assert_eq!(blocks, 6, "work blocks preserved");
-        assert!(sleeps >= 2);
     }
 
     #[test]

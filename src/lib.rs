@@ -15,7 +15,8 @@
 //! - [`fleet`] — many monitors, one collector: the scaled-out pipeline,
 //!   supervision, and the closed-loop sampling-rate [`fleet::governor`];
 //! - [`ktrace`] — columnar trace store with deterministic record/replay;
-//! - [`kchan`] — the lock-free SPSC sample rings under the fleet ingest.
+//! - [`kchan`] — lock-free SPSC sample rings; no ring sits on the fleet's
+//!   path, which ingests each machine's samples at join.
 //!
 //! See the repository README for a quickstart and EXPERIMENTS.md for the
 //! paper-vs-measured record.

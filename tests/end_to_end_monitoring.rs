@@ -199,21 +199,6 @@ fn ewma_detector_flags_meltdown_from_kleb_samples() {
 }
 
 #[test]
-fn controller_log_round_trips_through_csv() {
-    let mut m = machine(8);
-    let events = [HwEvent::LlcMiss, HwEvent::BranchRetired];
-    let outcome = Monitor::new(&events, Duration::from_millis(1))
-        .run(&mut m, "w", Box::new(Matmul::new(64, 8, 0.0)))
-        .expect("monitored run");
-    let csv = kleb::render_csv(&outcome.samples, &events);
-    let (parsed_events, parsed) = kleb::parse_csv(&csv).expect("valid log");
-    assert_eq!(parsed_events, events.to_vec());
-    assert_eq!(parsed.len(), outcome.samples.len());
-    let total: u64 = parsed.iter().map(|s| s.pmc[1]).sum();
-    assert_eq!(Some(total), outcome.total_event(HwEvent::BranchRetired));
-}
-
-#[test]
 fn isolation_against_core_sharing_neighbours() {
     let mut m = machine(7);
     // Spawn a noisy neighbour on core 0 before the monitored target.

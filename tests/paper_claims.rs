@@ -3,7 +3,6 @@
 
 use baselines::{
     overhead_percent, run_perf_stat, run_tool, run_unmonitored, PerfStatCosts, ToolSpec,
-    PERF_MIN_INTERVAL,
 };
 use kleb::KlebTuning;
 use ksim::{Duration, Machine, MachineConfig};
@@ -88,7 +87,7 @@ fn perf_cannot_sample_below_ten_milliseconds() {
         false,
     )
     .unwrap();
-    assert_eq!(perf.effective_period, PERF_MIN_INTERVAL);
+    assert_eq!(perf.effective_period, Duration::from_millis(10));
 
     let mut m = machine(61);
     let kleb = run_tool(

@@ -228,14 +228,17 @@ fn budget_exhaustion_trips_the_breaker_and_yields_a_partial_outcome() {
     assert!(h.failed, "restart budget exhausted => failed: {h:?}");
     assert_eq!(h.restarts, 3, "the full default budget was spent");
     assert_eq!(h.failure_count, 4, "initial attempt + three retries");
-    assert!(
-        h.breaker_trips >= 1,
+    // At the breaker's threshold of 2, the second consecutive panic trips
+    // it, and each later attempt is a half-open probe that fails and
+    // re-trips it: trips on failures 2, 3 and 4, ending open.
+    assert_eq!(
+        h.breaker_trips, 3,
         "repeated panics trip the breaker: {h:?}"
     );
-    assert_ne!(
+    assert_eq!(
         h.breaker_state,
-        fleet::BreakerState::Closed,
-        "a machine that never recovered cannot end with a closed breaker"
+        fleet::BreakerState::Open,
+        "a machine that never recovered ends with an open breaker"
     );
     assert!(
         h.failures
@@ -276,7 +279,7 @@ fn budget_exhaustion_trips_the_breaker_and_yields_a_partial_outcome() {
     // Fleet metrics carry the casualty accounting.
     assert_eq!(outcome.metrics.machines_lost, 1);
     assert!(outcome.metrics.machine_restarts >= 3);
-    assert!(outcome.metrics.breaker_trips >= 1);
+    assert_eq!(outcome.metrics.breaker_trips, 3);
     assert_eq!(outcome.metrics.machine_failures, 4);
 }
 

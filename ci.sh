@@ -22,9 +22,6 @@ cargo clippy --offline --locked --manifest-path perfbench/Cargo.toml --all-targe
 
 echo "==> klint (determinism + MSR-protocol + unsafe/atomics invariants, baseline: klint.baseline)"
 cargo run -q -p klint -- --workspace
-mkdir -p target
-cargo run -q -p klint -- --workspace --format json > target/klint-report.json
-echo "    report: target/klint-report.json"
 
 echo "==> api-snapshot gate (public API inventory matches committed api.txt)"
 cargo run -q -p klint --bin apisnap --

@@ -31,7 +31,7 @@ impl Detection {
 /// control band (an EWMA control chart).
 ///
 /// ```
-/// use analysis::detector::{Detection, EwmaDetector};
+/// use analysis::{Detection, EwmaDetector};
 ///
 /// let mut d = EwmaDetector::new(0.2, 4.0, 8);
 /// for _ in 0..20 {
@@ -76,7 +76,8 @@ impl EwmaDetector {
     }
 
     /// Current baseline estimate.
-    pub fn mean(&self) -> f64 {
+    #[cfg(test)]
+    fn mean(&self) -> f64 {
         self.mean
     }
 

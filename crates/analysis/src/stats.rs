@@ -41,7 +41,7 @@ fn percentile(values: &[f64], p: f64) -> f64 {
 }
 
 /// Median; `0.0` for an empty slice.
-pub fn median(values: &[f64]) -> f64 {
+pub(crate) fn median(values: &[f64]) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
@@ -103,11 +103,6 @@ impl FiveNumber {
     pub fn iqr(&self) -> f64 {
         self.q3 - self.q1
     }
-
-    /// Total spread.
-    pub fn range(&self) -> f64 {
-        self.max - self.min
-    }
 }
 
 /// Computes the five-number summary.
@@ -163,7 +158,6 @@ mod tests {
         assert_eq!(f.q1, 3.0);
         assert_eq!(f.q3, 7.0);
         assert_eq!(f.iqr(), 4.0);
-        assert_eq!(f.range(), 8.0);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 /// use analysis::TextTable;
 ///
 /// let mut t = TextTable::new(&["Tool", "Overhead (%)"]);
-/// t.row(&["K-LEB", "0.68"]);
-/// t.row(&["perf stat", "6.01"]);
+/// t.row_owned(vec!["K-LEB".into(), "0.68".into()]);
+/// t.row_owned(vec!["perf stat".into(), "6.01".into()]);
 /// let s = t.render();
 /// assert!(s.contains("K-LEB"));
 /// assert!(s.lines().count() >= 4); // header, rule, 2 rows
@@ -27,18 +27,6 @@ impl TextTable {
         }
     }
 
-    /// Appends a row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the column count differs from the header.
-    pub fn row(&mut self, cells: &[&str]) -> &mut Self {
-        assert_eq!(cells.len(), self.header.len(), "column count mismatch");
-        self.rows
-            .push(cells.iter().map(|s| s.to_string()).collect());
-        self
-    }
-
     /// Appends a row of already-owned strings.
     ///
     /// # Panics
@@ -48,16 +36,6 @@ impl TextTable {
         assert_eq!(cells.len(), self.header.len(), "column count mismatch");
         self.rows.push(cells);
         self
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True if no data rows were added.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Renders with aligned columns, a header underline, and two spaces of
@@ -109,7 +87,7 @@ mod tests {
     #[test]
     fn renders_aligned() {
         let mut t = TextTable::new(&["A", "Long header"]);
-        t.row(&["xxxxxx", "1"]);
+        t.row_owned(vec!["xxxxxx".into(), "1".into()]);
         let s = t.render();
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 3);
@@ -121,14 +99,6 @@ mod tests {
     #[test]
     #[should_panic]
     fn wrong_arity_panics() {
-        TextTable::new(&["a", "b"]).row(&["only one"]);
-    }
-
-    #[test]
-    fn len_and_empty() {
-        let mut t = TextTable::new(&["x"]);
-        assert!(t.is_empty());
-        t.row(&["1"]).row(&["2"]);
-        assert_eq!(t.len(), 2);
+        TextTable::new(&["a", "b"]).row_owned(vec!["only one".into()]);
     }
 }

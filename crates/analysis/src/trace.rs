@@ -11,7 +11,6 @@
 //! programmable counters in `pmc[i]` order.
 
 use crate::metrics::mpki;
-use crate::phases::{detect_phases, Phase};
 use ktrace::RecoveredStream;
 use pmu::{HwEvent, NUM_FIXED};
 
@@ -75,11 +74,6 @@ impl TraceSeries {
             .map(|i| NUM_FIXED + i)
     }
 
-    /// One lane's series, if the lane exists.
-    pub fn lane(&self, lane: usize) -> Option<&[u64]> {
-        self.lanes.get(lane).map(Vec::as_slice)
-    }
-
     /// Sum of a lane over the half-open time window `[start_ns, end_ns)`.
     pub fn window_sum(&self, lane: usize, start_ns: u64, end_ns: u64) -> u64 {
         let Some(series) = self.lanes.get(lane) else {
@@ -100,13 +94,6 @@ impl TraceSeries {
         let misses: u64 = self.lanes[lane].iter().sum();
         let instructions: u64 = self.lanes[LANE_INSTRUCTIONS].iter().sum();
         Some(mpki(misses, instructions))
-    }
-
-    /// Phase detection over the programmable lanes — the same call the
-    /// live pipeline makes, applied to a trace read back off disk.
-    pub fn phases(&self, quiet_threshold: u64, dominance: f64, min_len: usize) -> Vec<Phase> {
-        let series: Vec<&[u64]> = self.lanes[NUM_FIXED..].iter().map(Vec::as_slice).collect();
-        detect_phases(&series, quiet_threshold, dominance, min_len)
     }
 }
 
@@ -148,10 +135,10 @@ mod tests {
         let series = TraceSeries::from_stream(&stream());
         assert_eq!(series.len(), 100);
         assert_eq!(series.lanes.len(), NUM_FIXED + 2);
-        assert_eq!(series.lane(LANE_INSTRUCTIONS).unwrap()[0], 1_000);
+        assert_eq!(series.lanes[LANE_INSTRUCTIONS][0], 1_000);
         assert_eq!(series.lane_of(HwEvent::LlcMiss), Some(NUM_FIXED + 1));
         assert_eq!(series.lane_of(HwEvent::ArithMul), None);
-        assert_eq!(series.lane(NUM_FIXED + 1).unwrap()[99], 40);
+        assert_eq!(series.lanes[NUM_FIXED + 1][99], 40);
     }
 
     #[test]
@@ -171,18 +158,5 @@ mod tests {
         assert_eq!(series.window_sum(lane, 0, 1_000_001), 50 * 10);
         assert_eq!(series.window_sum(lane, 0, 0), 0);
         assert_eq!(series.window_sum(99, 0, u64::MAX), 0, "missing lane");
-    }
-
-    #[test]
-    fn phase_detection_sees_the_miss_regime_change() {
-        let series = TraceSeries::from_stream(&stream());
-        // First half: references dominate misses 50:1 → Dominant.
-        // Second half: 50 vs 40 is no 5× dominance → Mixed.
-        let phases = series.phases(0, 5.0, 5);
-        assert!(
-            phases.len() >= 2,
-            "two dominance regimes expected: {phases:?}"
-        );
-        assert_ne!(phases[0].kind, phases[1].kind);
     }
 }

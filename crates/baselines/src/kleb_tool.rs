@@ -15,7 +15,7 @@ use crate::ToolError;
 /// # Errors
 ///
 /// [`ToolError`] if the simulation stalls or module setup fails.
-pub fn run_kleb(
+pub(crate) fn run_kleb(
     machine: &mut Machine,
     name: &str,
     workload: Box<dyn Workload>,

@@ -25,12 +25,16 @@ mod perf_record;
 mod perf_stat;
 
 pub use common::{overhead_percent, ToolRun, ToolSample};
-pub use kleb_tool::run_kleb;
-pub use limit::{run_limit, LimitCosts};
-pub use papi::{run_papi, PapiCosts};
-pub use perf_kernel::{PerfEventKernel, PerfKernelCosts};
-pub use perf_record::{run_perf_record, PerfRecordCosts};
+pub use limit::LimitCosts;
+pub use papi::PapiCosts;
+pub use perf_kernel::PerfKernelCosts;
+pub use perf_record::PerfRecordCosts;
 pub use perf_stat::{run_perf_stat, PerfStatCosts};
+
+use kleb_tool::run_kleb;
+use limit::run_limit;
+use papi::run_papi;
+use perf_record::run_perf_record;
 
 use pmu::HwEvent;
 

@@ -430,7 +430,7 @@ impl Workload for LimitInstrumented {
 /// # Errors
 ///
 /// [`ToolError`] if the simulation stalls or setup fails.
-pub fn run_limit(
+pub(crate) fn run_limit(
     machine: &mut Machine,
     name: &str,
     workload: Box<dyn Workload>,

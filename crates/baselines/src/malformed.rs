@@ -14,12 +14,12 @@ use ksim::{
 use pmu::HwEvent;
 
 use crate::limit::{LimitCosts, LimitKernel, LimitOpenConfig, LIMIT_OPEN};
+use crate::perf_kernel::PerfEventKernel;
 use crate::perf_kernel::{PerfCounts, PerfKernelCosts, PerfOpenConfig, PERF_OPEN, PERF_READ};
 use crate::perf_record::{
     PerfRecordCosts, PerfRecordModule, RecordDrain, RecordOpenConfig, WireSample, RECORD_DRAIN,
     RECORD_OPEN,
 };
-use crate::PerfEventKernel;
 
 /// An ioctl request and its payload.
 type Call = (u64, Vec<u8>);

@@ -271,7 +271,7 @@ impl Workload for PapiInstrumented {
 /// # Errors
 ///
 /// [`ToolError`] if the simulation stalls or PAPI setup fails.
-pub fn run_papi(
+pub(crate) fn run_papi(
     machine: &mut Machine,
     name: &str,
     workload: Box<dyn Workload>,

@@ -20,13 +20,13 @@ use crate::common::{known_events, put_event_codes, read_event_codes};
 /// `ioctl`: open a counting session. The payload is `target` u32, the
 /// events as a list of `(event, umask)` byte pairs, then `count_kernel`
 /// and `track_children` bools ([`ksim::wire`]).
-pub const PERF_OPEN: u64 = 0x5001;
+pub(crate) const PERF_OPEN: u64 = 0x5001;
 /// `ioctl`: read accumulated counts. The out payload is three `u64` fixed
 /// totals, the per-event totals as a list of `u64`, then `target_alive`
 /// and `multiplexed` bools ([`ksim::wire`]).
-pub const PERF_READ: u64 = 0x5002;
+pub(crate) const PERF_READ: u64 = 0x5002;
 /// `ioctl`: close the session.
-pub const PERF_CLOSE: u64 = 0x5003;
+pub(crate) const PERF_CLOSE: u64 = 0x5003;
 
 /// Multiplexing rotation interval (perf's tick), nanoseconds.
 const MUX_ROTATE_NS: u64 = 1_000_000;
@@ -150,14 +150,14 @@ struct Session {
 
 /// The perf_events kernel module.
 #[derive(Debug)]
-pub struct PerfEventKernel {
+pub(crate) struct PerfEventKernel {
     costs: PerfKernelCosts,
     session: Option<Session>,
 }
 
 impl PerfEventKernel {
     /// A fresh instance with `costs`.
-    pub fn new(costs: PerfKernelCosts) -> Self {
+    pub(crate) fn new(costs: PerfKernelCosts) -> Self {
         Self {
             costs,
             session: None,
@@ -203,8 +203,10 @@ impl PerfEventKernel {
     }
 
     /// Reads the hardware counters into the session accumulators and
-    /// resets them. `rotate` also advances the multiplex group.
-    fn accumulate(ctx: &mut KernelCtx<'_>, s: &mut Session, rotate: bool) {
+    /// resets them. Under multiplexing every accumulate also advances the
+    /// group, the one at a switch-out included, so the next enable
+    /// programs the next group.
+    fn accumulate(ctx: &mut KernelCtx<'_>, s: &mut Session) {
         let group = Self::current_group(s);
         let mut raw = Vec::with_capacity(group.len());
         for i in 0..group.len().min(NUM_PROGRAMMABLE) {
@@ -223,12 +225,6 @@ impl PerfEventKernel {
                     .group_enabled_at
                     .map_or(0, |t| ctx.now().saturating_since(t).as_nanos());
                 mux.record_and_rotate(elapsed.max(1), &raw);
-                if !rotate {
-                    // record_and_rotate always advances; step back around
-                    // by rotating through the remaining groups so the same
-                    // group resumes. Simpler: accept rotation — perf also
-                    // reprograms on every switch.
-                }
             }
             None => {
                 for (i, v) in raw.iter().enumerate() {
@@ -332,7 +328,7 @@ impl Device for PerfEventKernel {
                     // If counting is live (self-monitoring read), fold the
                     // running counters in first.
                     if s.active {
-                        Self::accumulate(ctx, s, false);
+                        Self::accumulate(ctx, s);
                         let ck = s.cfg.count_kernel;
                         Self::enable(ctx, s, ck);
                     }
@@ -344,7 +340,7 @@ impl Device for PerfEventKernel {
                     return Err(Errno::Perm);
                 };
                 if s.active {
-                    Self::accumulate(ctx, &mut s, false);
+                    Self::accumulate(ctx, &mut s);
                     Self::disable(ctx, &mut s);
                 }
                 if let Some(t) = s.mux_timer {
@@ -377,7 +373,7 @@ impl Device for PerfEventKernel {
             }
             (true, true, false) => {
                 ctx.charge_kernel_cycles(costs.switch_out_cycles);
-                Self::accumulate(ctx, s, false);
+                Self::accumulate(ctx, s);
                 Self::disable(ctx, s);
                 if let Some(t) = s.mux_timer {
                     ctx.timer_cancel(t);
@@ -398,7 +394,7 @@ impl Device for PerfEventKernel {
         // Multiplex rotation: accumulate the running group, advance, and
         // reprogram.
         ctx.charge_kernel_cycles(costs.mux_rotate_cycles);
-        Self::accumulate(ctx, s, true);
+        Self::accumulate(ctx, s);
         let ck = s.cfg.count_kernel;
         Self::enable(ctx, s, ck);
         ctx.timer_arm_after(timer, ksim::Duration::from_nanos(MUX_ROTATE_NS));
@@ -425,7 +421,7 @@ impl Device for PerfEventKernel {
         // Flush the running counters while they still hold the final
         // partial values (perf's task-exit event flush).
         if s.active && ctx.core() == s.target_core && s.live.is_empty() {
-            Self::accumulate(ctx, s, false);
+            Self::accumulate(ctx, s);
             Self::disable(ctx, s);
             if let Some(t) = s.mux_timer {
                 ctx.timer_cancel(t);
@@ -437,6 +433,9 @@ impl Device for PerfEventKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ksim::{
+        Duration, ItemResult, Machine, MachineConfig, Syscall, WorkBlock, WorkItem, Workload,
+    };
 
     /// No events, two, and six (more than the counters, so multiplexed).
     fn event_lists() -> [Vec<EventCode>; 3] {
@@ -476,5 +475,63 @@ mod tests {
         // The read path is the expensive one relative to switch hooks.
         assert!(c.read_cycles > c.switch_in_cycles);
         assert!(c.open_cycles > c.read_cycles);
+    }
+
+    /// Plays its items in order.
+    #[derive(Debug)]
+    struct Steps(std::collections::VecDeque<WorkItem>);
+
+    impl Workload for Steps {
+        fn next(&mut self, _prev: &ItemResult) -> Option<WorkItem> {
+            self.0.pop_front()
+        }
+    }
+
+    #[test]
+    fn a_switch_out_under_multiplexing_advances_the_group() {
+        let events = pmu::ALL_EVENTS[3..9].to_vec();
+        let mut machine = Machine::new(MachineConfig::test_tiny(3));
+        let device =
+            machine.register_device(Box::new(PerfEventKernel::new(PerfKernelCosts::default())));
+        // Two short runs around a sleep, all well inside one rotation tick.
+        let block = || WorkItem::Block(WorkBlock::compute(10_000, 10_000));
+        let target = machine.spawn_suspended(
+            "target",
+            CoreId(0),
+            Box::new(Steps(
+                [block(), WorkItem::Sleep(Duration::from_micros(50)), block()].into(),
+            )),
+        );
+        let open = PerfOpenConfig {
+            target: target.0,
+            events: events.iter().map(|e| e.code()).collect(),
+            count_kernel: false,
+            track_children: false,
+        };
+        let calls = [
+            Syscall::Ioctl {
+                device,
+                request: PERF_OPEN,
+                payload: open.encode(),
+            },
+            Syscall::Resume(target),
+        ];
+        machine.spawn(
+            "controller",
+            CoreId(1),
+            Box::new(Steps(calls.map(WorkItem::Syscall).into())),
+        );
+        // The event and umask of each group's first counter, as core 0
+        // has them programmed, in order.
+        let code = |bits: u64| bits & 0xFFFF;
+        let mut programmed = Vec::new();
+        while machine.step() {
+            let sel = machine.pmu(CoreId(0)).rdmsr(msr::perfevtsel(0)).unwrap();
+            if sel != 0 && programmed.last() != Some(&code(sel)) {
+                programmed.push(code(sel));
+            }
+        }
+        let first = |e: HwEvent| code(EventSel::for_event(e).bits());
+        assert_eq!(programmed, [first(events[0]), first(events[4])]);
     }
 }

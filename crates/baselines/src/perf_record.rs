@@ -523,7 +523,7 @@ impl Workload for PerfRecordProcess {
 /// # Errors
 ///
 /// [`ToolError`] if the simulation stalls or session setup fails.
-pub fn run_perf_record(
+pub(crate) fn run_perf_record(
     machine: &mut Machine,
     name: &str,
     workload: Box<dyn Workload>,

@@ -749,7 +749,7 @@ pub fn ablation_jitter(scale: &Scale) -> Vec<JitterRow> {
 /// A two-phase workload for the multiplexing ablation: first branch-heavy,
 /// then LLC-heavy — the worst case for time-multiplexed estimation.
 #[derive(Debug)]
-pub struct TwoPhase {
+pub(crate) struct TwoPhase {
     blocks_per_phase: u64,
     emitted: u64,
     seed: u64,
@@ -757,7 +757,7 @@ pub struct TwoPhase {
 
 impl TwoPhase {
     /// `blocks_per_phase` blocks of each phase.
-    pub fn new(blocks_per_phase: u64, seed: u64) -> Self {
+    pub(crate) fn new(blocks_per_phase: u64, seed: u64) -> Self {
         Self {
             blocks_per_phase,
             emitted: 0,

@@ -24,6 +24,6 @@
 //! | §IV AWS verification | [`experiments::aws_verification`] | `verify_aws` |
 
 pub mod experiments;
-pub mod scale;
+mod scale;
 
 pub use scale::Scale;

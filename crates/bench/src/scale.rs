@@ -28,7 +28,7 @@ pub struct Scale {
 
 impl Scale {
     /// The paper's configuration.
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         Self {
             linpack_n: 5000,
             linpack_trials: 10,

@@ -84,7 +84,7 @@ impl GovernorPolicy {
 
     /// Derives the live AIMD policy for a machine whose allocated base
     /// period is `base_period_ns`.
-    pub fn rate_policy(&self, base_period_ns: u64) -> RatePolicy {
+    pub(crate) fn rate_policy(&self, base_period_ns: u64) -> RatePolicy {
         RatePolicy::new(base_period_ns)
             .max_period(base_period_ns.saturating_mul(u64::from(self.max_period_factor.max(1))))
             .depth_threshold_pct(self.depth_threshold_pct)
@@ -159,7 +159,7 @@ pub struct GovernorReport {
 impl GovernorReport {
     /// The period in effect when the run ended: the last retuned period,
     /// or the allocated base if the governor never acted.
-    pub fn final_period_ns(&self) -> u64 {
+    pub(crate) fn final_period_ns(&self) -> u64 {
         if self.stats.last_period_ns != 0 {
             self.stats.last_period_ns
         } else {

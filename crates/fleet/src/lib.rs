@@ -42,13 +42,13 @@
 //! ```
 
 mod detect;
-pub mod governor;
-pub mod ingest;
+mod governor;
+mod ingest;
 pub(crate) mod ksync;
-pub mod metrics;
-pub mod runner;
-pub mod store;
-pub mod supervisor;
+mod metrics;
+mod runner;
+mod store;
+mod supervisor;
 
 pub use detect::{scan_fleet, verdict_table, AnomalyConfig, FleetAnomalyReport, MachineVerdict};
 pub use governor::{GovernorPolicy, GovernorReport};
@@ -56,7 +56,7 @@ pub use ingest::{ring_fanin, Backpressure, ChannelStats, Polled, RingCollector, 
 pub use metrics::FleetMetrics;
 pub use runner::{
     FleetConfig, FleetConfigBuilder, FleetError, FleetOutcome, FleetRunner, MachineReport,
-    MachineSpec, WorkloadFactory,
+    MachineSpec,
 };
 pub use store::{FleetStore, Lane, Point, StoreStats, Window};
-pub use supervisor::{BreakerState, FailureKind, HealthReport, MachineFailure, SupervisedRun};
+pub use supervisor::{BreakerState, FailureKind, HealthReport, MachineFailure};

@@ -70,7 +70,7 @@ impl FleetMetrics {
 
     /// Renders everything as a two-column table. `elapsed` is the run's
     /// host wall time, used for the ingest rate.
-    pub fn render(&self, elapsed: Duration) -> String {
+    pub(crate) fn render(&self, elapsed: Duration) -> String {
         let rate = if elapsed.as_secs_f64() > 0.0 {
             self.samples_ingested as f64 / elapsed.as_secs_f64()
         } else {

@@ -42,7 +42,7 @@ const SHARD_CAPACITY: usize = 64 * 1024;
 ///
 /// `Fn`, not `FnOnce`: the supervisor rebuilds the workload on every
 /// restart attempt, so the factory must be re-invokable.
-pub type WorkloadFactory = Box<dyn Fn(u64) -> Box<dyn Workload> + Send>;
+pub(crate) type WorkloadFactory = Box<dyn Fn(u64) -> Box<dyn Workload> + Send>;
 
 /// One machine of the fleet.
 pub struct MachineSpec {
@@ -148,7 +148,7 @@ impl FleetConfig {
     /// The default config: `events` sampled every `period` on
     /// i7-920-class machines, no faults, no governor. Use
     /// [`FleetConfig::builder`] to override anything.
-    pub fn new(events: &[HwEvent], period: Duration) -> Self {
+    pub(crate) fn new(events: &[HwEvent], period: Duration) -> Self {
         Self {
             events: events.to_vec(),
             period,

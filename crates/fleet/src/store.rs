@@ -160,13 +160,8 @@ impl FleetStore {
     }
 
     /// Number of machine streams.
-    pub fn machines(&self) -> usize {
+    pub(crate) fn machines(&self) -> usize {
         self.machines.len()
-    }
-
-    /// The programmed events, in `Lane::Pmc` index order.
-    pub fn events(&self) -> &[HwEvent] {
-        &self.events
     }
 
     /// The `Lane::Pmc` lane for `event`, if it was configured.

@@ -64,7 +64,7 @@ pub enum BreakerState {
 
 impl BreakerState {
     /// Stable wire tag, as persisted in [`ktrace::StreamHealth`].
-    pub fn tag(self) -> u8 {
+    pub(crate) fn tag(self) -> u8 {
         match self {
             BreakerState::Closed => 0,
             BreakerState::Open => 1,
@@ -248,7 +248,7 @@ impl HealthReport {
 
     /// One-word-ish status for tables and logs: `healthy`,
     /// `restarted(n)`, `degraded`, or `failed`.
-    pub fn summary(&self) -> String {
+    pub(crate) fn summary(&self) -> String {
         if self.failed {
             "failed".to_string()
         } else if self.restarts > 0 {
@@ -274,7 +274,7 @@ impl HealthReport {
     /// Rebuilds the report from a replayed ledger. Failure messages are
     /// not persisted, so `failures` comes back empty — by design, the
     /// digest covers only the counts.
-    pub fn from_stream_health(health: StreamHealth) -> Self {
+    pub(crate) fn from_stream_health(health: StreamHealth) -> Self {
         Self {
             restarts: health.restarts,
             failure_count: health.failures,
@@ -354,7 +354,7 @@ impl SampleSink for SupervisorSink {
 /// forwarded) plus its health. Infallible by construction — failure is
 /// data, not an early return.
 #[derive(Debug)]
-pub struct SupervisedRun {
+pub(crate) struct SupervisedRun {
     /// The machine's report, in the shape [`crate::FleetRunner::run`]
     /// has always produced.
     pub report: MachineReport,

@@ -194,13 +194,6 @@ impl Monitor {
         self
     }
 
-    /// Pins the target and controller to explicit cores.
-    pub fn cores(mut self, target: CoreId, controller: CoreId) -> Self {
-        self.target_core = target;
-        self.controller_core = controller;
-        self
-    }
-
     /// Overrides the controller's drain interval.
     pub fn drain_interval(mut self, interval: Duration) -> Self {
         self.drain_interval = Some(interval);

@@ -16,7 +16,7 @@ pub const IOCTL_CONFIG: u64 = 0x4B01;
 /// `ioctl` request: start monitoring the configured target.
 pub const IOCTL_START: u64 = 0x4B02;
 /// `ioctl` request: stop monitoring and release kernel resources.
-pub const IOCTL_STOP: u64 = 0x4B03;
+pub(crate) const IOCTL_STOP: u64 = 0x4B03;
 /// `ioctl` request: query module status (out payload = [`ModuleStatus`],
 /// see [`ModuleStatus::to_payload`]).
 pub const IOCTL_STATUS: u64 = 0x4B04;
@@ -25,7 +25,7 @@ pub const IOCTL_STATUS: u64 = 0x4B04;
 /// expiry ever firing (a lost hrtimer interrupt — see
 /// [`ksim::FaultClass::TimerMiss`]), the timer is re-armed from now.
 /// Returns 1 if a stall was repaired, 0 if there was nothing to do.
-pub const IOCTL_KICK: u64 = 0x4B05;
+pub(crate) const IOCTL_KICK: u64 = 0x4B05;
 /// `ioctl` request: change the sampling period of a configured monitor
 /// (payload = little-endian `u64` nanoseconds; takes effect at the next
 /// re-arm). This is the controller's degraded-mode lever: when drops
@@ -35,7 +35,7 @@ pub const IOCTL_SET_PERIOD: u64 = 0x4B06;
 
 /// Errors produced when validating a [`MonitorConfig`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ConfigError {
+pub(crate) enum ConfigError {
     /// More events requested than programmable counters exist.
     TooManyEvents {
         /// Number requested.
@@ -108,7 +108,7 @@ impl MonitorConfig {
     }
 
     /// The sampling period as a [`Duration`].
-    pub fn period(&self) -> Duration {
+    pub(crate) fn period(&self) -> Duration {
         Duration::from_nanos(self.period_ns)
     }
 
@@ -118,7 +118,7 @@ impl MonitorConfig {
     /// # Errors
     ///
     /// See [`ConfigError`].
-    pub fn validate(&self) -> Result<(), ConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
         if self.events.len() > pmu::NUM_PROGRAMMABLE {
             return Err(ConfigError::TooManyEvents {
                 requested: self.events.len(),

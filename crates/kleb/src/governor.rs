@@ -86,7 +86,7 @@ impl RatePolicy {
 /// Counter deltas and ring state observed at one status poll, the
 /// governor's only input signal.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct PressureSample {
+pub(crate) struct PressureSample {
     /// Samples dropped since the previous poll.
     pub drop_delta: u64,
     /// Buffer-full pauses entered since the previous poll.
@@ -109,7 +109,7 @@ impl PressureSample {
 
 /// What the controller should do after a poll.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RateDecision {
+pub(crate) enum RateDecision {
     /// Keep the current period.
     Hold,
     /// Issue an acked `SET_PERIOD` for `period_ns`, tagged `seq`.
@@ -148,7 +148,7 @@ impl GovernorStats {
 /// The AIMD state machine. One instance per governed machine, stepped at
 /// every controller status poll.
 #[derive(Debug, Clone)]
-pub struct RateGovernor {
+pub(crate) struct RateGovernor {
     policy: RatePolicy,
     /// The period currently in effect on the module.
     period_ns: u64,
@@ -163,7 +163,8 @@ pub struct RateGovernor {
 
 impl RateGovernor {
     /// A governor starting at the policy's base period.
-    pub fn new(policy: RatePolicy) -> Self {
+    #[cfg(test)]
+    fn new(policy: RatePolicy) -> Self {
         let period_ns = policy.base_period_ns;
         Self::resumed(policy, period_ns)
     }
@@ -171,7 +172,7 @@ impl RateGovernor {
     /// A governor resuming at a previously governed period (supervisor
     /// restart continuity: the replacement attempt must not snap back to
     /// the configured rate the ring already proved it cannot sustain).
-    pub fn resumed(policy: RatePolicy, period_ns: u64) -> Self {
+    pub(crate) fn resumed(policy: RatePolicy, period_ns: u64) -> Self {
         Self {
             policy,
             period_ns: period_ns.clamp(policy.base_period_ns, policy.max_period_ns.max(1)),
@@ -183,22 +184,18 @@ impl RateGovernor {
     }
 
     /// The period the governor believes is in effect.
-    pub fn period_ns(&self) -> u64 {
+    #[cfg(test)]
+    fn period_ns(&self) -> u64 {
         self.period_ns
     }
 
-    /// The policy this governor runs.
-    pub fn policy(&self) -> &RatePolicy {
-        &self.policy
-    }
-
     /// Counters so far.
-    pub fn stats(&self) -> GovernorStats {
+    pub(crate) fn stats(&self) -> GovernorStats {
         self.stats
     }
 
     /// Records a module ack for a retune (retval matched the seq).
-    pub fn acked(&mut self, seq: u64) {
+    pub(crate) fn acked(&mut self, seq: u64) {
         // Sequences are issued in order and acks arrive synchronously on
         // the ioctl return path, so any matching seq below the cursor is
         // a valid ack.
@@ -209,7 +206,7 @@ impl RateGovernor {
 
     /// Steps the control law with one poll's observations. Pure: no
     /// clocks, no randomness — identical inputs yield identical decisions.
-    pub fn observe(&mut self, sample: PressureSample) -> RateDecision {
+    pub(crate) fn observe(&mut self, sample: PressureSample) -> RateDecision {
         if sample.pressured(&self.policy) {
             self.calm_streak = 0;
             let proposed = self.period_ns.saturating_mul(INCREASE_FACTOR);

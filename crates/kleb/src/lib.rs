@@ -33,14 +33,14 @@
 
 mod api;
 pub mod config;
-pub mod controller;
-pub mod governor;
-pub mod module;
-pub mod sample;
+mod controller;
+mod governor;
+mod module;
+mod sample;
 
 pub use api::{Monitor, MonitorError, MonitorOutcome};
-pub use config::{ConfigError, ModuleStatus, MonitorConfig};
+pub use config::{ModuleStatus, MonitorConfig};
 pub use controller::{RecoveryStats, SampleSink};
-pub use governor::{GovernorStats, PressureSample, RateDecision, RateGovernor, RatePolicy};
+pub use governor::{GovernorStats, RatePolicy};
 pub use module::{KlebModule, KlebTuning};
 pub use sample::{Sample, RECORD_BYTES};

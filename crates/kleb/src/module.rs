@@ -141,7 +141,7 @@ impl KlebModule {
     }
 
     /// A module with explicit cost tuning.
-    pub fn with_tuning(tuning: KlebTuning) -> Self {
+    pub(crate) fn with_tuning(tuning: KlebTuning) -> Self {
         Self {
             tuning,
             armed: None,

@@ -59,7 +59,7 @@ pub struct Sample {
 
 impl Sample {
     /// Instructions retired in this period (fixed counter 0).
-    pub fn instructions(&self) -> u64 {
+    pub(crate) fn instructions(&self) -> u64 {
         self.fixed[0]
     }
 

@@ -317,12 +317,12 @@ impl Lexer {
 
 impl Tok {
     /// True if this token is the identifier `name`.
-    pub fn is_ident(&self, name: &str) -> bool {
+    pub(crate) fn is_ident(&self, name: &str) -> bool {
         matches!(self, Tok::Ident(s) if s == name)
     }
 
     /// True if this token is the punctuation `c`.
-    pub fn is_punct(&self, c: char) -> bool {
+    pub(crate) fn is_punct(&self, c: char) -> bool {
         matches!(self, Tok::Punct(p) if *p == c)
     }
 }

@@ -20,7 +20,7 @@
 //! let t = Instant::now();
 //! ```
 
-pub mod baseline;
+mod baseline;
 pub mod lexer;
 pub mod rules;
 

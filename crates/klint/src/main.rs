@@ -1,40 +1,28 @@
 //! CLI: `cargo run -p klint -- --workspace [--baseline <path>]
-//! [--write-baseline] [--root <dir>] [--format text|json]`.
+//! [--write-baseline] [--root <dir>]`.
 //!
 //! Exit status 0 when no violations beyond the baseline, 1 when new
 //! violations exist, 2 on usage or I/O errors.
-//!
-//! `--format json` prints one machine-readable report object to stdout
-//! (every violation with rule/path/line/snippet/message plus its
-//! baseline status, and the new/frozen totals) — CI stores it as an
-//! artifact so downstream tooling never parses the human text.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use klint::{Baseline, Violation};
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Format {
-    Text,
-    Json,
-}
-
 struct Args {
     root: PathBuf,
     baseline: Option<PathBuf>,
     write_baseline: bool,
-    format: Format,
 }
 
-const USAGE: &str = "usage: klint --workspace [--root <dir>] [--baseline <path>]      [--write-baseline] [--format text|json]";
+const USAGE: &str =
+    "usage: klint --workspace [--root <dir>] [--baseline <path>] [--write-baseline]";
 
 fn parse_args() -> Result<Args, String> {
     let mut root = PathBuf::from(".");
     let mut baseline = None;
     let mut write_baseline = false;
     let mut workspace = false;
-    let mut format = Format::Text;
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
@@ -53,14 +41,6 @@ fn parse_args() -> Result<Args, String> {
                 );
             }
             "--write-baseline" => write_baseline = true,
-            "--format" => {
-                format = match argv.next().as_deref() {
-                    Some("text") => Format::Text,
-                    Some("json") => Format::Json,
-                    Some(other) => return Err(format!("unknown format `{other}`")),
-                    None => return Err("--format needs a value".to_string()),
-                };
-            }
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
@@ -71,52 +51,7 @@ fn parse_args() -> Result<Args, String> {
         root,
         baseline,
         write_baseline,
-        format,
     })
-}
-
-/// Minimal JSON string escaping (the report has no non-string values
-/// that need care). No serde by design — see the crate docs.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn print_json_report(new: &[&Violation], frozen: &[&Violation]) {
-    let entry = |v: &Violation, is_new: bool| {
-        format!(
-            "    {{\"rule\": {}, \"path\": {}, \"line\": {}, \"snippet\": {}, \"message\": {}, \"status\": {}}}",
-            json_str(v.rule.name()),
-            json_str(&v.path),
-            v.line,
-            json_str(&v.snippet),
-            json_str(&v.message),
-            json_str(if is_new { "new" } else { "frozen" }),
-        )
-    };
-    let mut items: Vec<String> = Vec::new();
-    items.extend(new.iter().map(|v| entry(v, true)));
-    items.extend(frozen.iter().map(|v| entry(v, false)));
-    println!("{{");
-    println!("  \"new\": {},", new.len());
-    println!("  \"frozen\": {},", frozen.len());
-    println!("  \"violations\": [");
-    println!("{}", items.join(",\n"));
-    println!("  ]");
-    println!("}}");
 }
 
 fn print_violation(v: &Violation) {
@@ -157,14 +92,6 @@ fn run() -> Result<ExitCode, String> {
     };
 
     let (new, frozen) = baseline.split(&violations);
-    if args.format == Format::Json {
-        print_json_report(&new, &frozen);
-        return Ok(if new.is_empty() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        });
-    }
     for v in &new {
         print_violation(v);
     }

@@ -57,7 +57,7 @@ impl Rule {
     }
 
     /// Parses a rule name (as written in `// klint: allow(...)`).
-    pub fn parse(s: &str) -> Option<Rule> {
+    pub(crate) fn parse(s: &str) -> Option<Rule> {
         match s {
             "D1" => Some(Rule::D1),
             "D2" => Some(Rule::D2),
@@ -260,7 +260,7 @@ fn in_spans(spans: &[(usize, usize)], idx: usize) -> bool {
 ///
 /// `crate_name` is the `crates/<name>/…` component of the path (if any),
 /// `in_tests_dir` marks files under a `tests/` directory.
-pub fn check_tokens(
+pub(crate) fn check_tokens(
     lexed: &Lexed,
     rel_path: &str,
     crate_name: Option<&str>,

@@ -8,7 +8,7 @@ use std::process::{Command, Output};
 /// Items of the shipped `api.txt` that no non-test code outside their
 /// own file names. A change that marks one more item raises this number
 /// in the same diff; one that removes or uses a marked item lowers it.
-const SHIPPED_UNREFERENCED: usize = 75;
+const SHIPPED_UNREFERENCED: usize = 69;
 
 const MARK: &str = " # unreferenced";
 

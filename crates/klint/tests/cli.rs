@@ -142,35 +142,3 @@ fn shipped_baseline_carries_zero_frozen_debt() {
         entries.join("\n")
     );
 }
-
-#[test]
-fn json_format_reports_every_field_and_keeps_exit_codes() {
-    let root = fixture_root();
-    let out = klint(&[
-        "--workspace",
-        "--root",
-        root.to_str().unwrap(),
-        "--format",
-        "json",
-    ]);
-    assert_eq!(out.status.code(), Some(1), "stdout: {}", stdout(&out));
-    let text = stdout(&out);
-    for needle in [
-        "\"new\": 6",
-        "\"frozen\": 0",
-        "\"rule\": \"U1\"",
-        "\"rule\": \"A1\"",
-        "\"path\": \"crates/fleet/src/lib.rs\"",
-        "\"snippet\": \"unsafe fn\"",
-        "\"line\": ",
-        "\"status\": \"new\"",
-    ] {
-        assert!(text.contains(needle), "missing {needle} in:\n{text}");
-    }
-    // Exactly one JSON object, no human-format noise on stdout.
-    assert!(text.trim_start().starts_with('{') && text.trim_end().ends_with('}'));
-    assert!(
-        !text.contains("klint:"),
-        "human summary leaked into JSON:\n{text}"
-    );
-}

@@ -66,12 +66,12 @@ impl Default for CostModel {
 
 impl CostModel {
     /// Kernel instructions retired for `cycles` of kernel work.
-    pub fn kernel_instructions(&self, cycles: u64) -> u64 {
+    pub(crate) fn kernel_instructions(&self, cycles: u64) -> u64 {
         cycles * self.kernel_ipc_milli / 1000
     }
 
     /// Full round-trip cost of an "empty" syscall.
-    pub fn syscall_round_trip(&self) -> u64 {
+    pub(crate) fn syscall_round_trip(&self) -> u64 {
         self.syscall_entry + self.syscall_exit
     }
 }

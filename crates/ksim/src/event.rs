@@ -9,7 +9,7 @@ use crate::time::Instant;
 
 /// Kinds of scheduled machine events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum EventKind {
+pub(crate) enum EventKind {
     /// A high-resolution timer reached its (jittered) deadline.
     TimerFire {
         /// Which timer.
@@ -30,7 +30,7 @@ pub enum EventKind {
 
 /// A scheduled event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Event {
+pub(crate) struct Event {
     /// When the event is due.
     pub time: Instant,
     /// Core the event belongs to.
@@ -62,19 +62,19 @@ impl PartialOrd for Entry {
 /// Min-heap of events ordered by `(time, insertion sequence)` — ties resolve
 /// in insertion order, keeping the simulation fully deterministic.
 #[derive(Debug, Default)]
-pub struct EventQueue {
+pub(crate) struct EventQueue {
     heap: BinaryHeap<Reverse<Entry>>,
     seq: u64,
 }
 
 impl EventQueue {
     /// An empty queue.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Schedules an event.
-    pub fn push(&mut self, event: Event) {
+    pub(crate) fn push(&mut self, event: Event) {
         self.seq += 1;
         self.heap.push(Reverse(Entry {
             time: event.time,
@@ -85,7 +85,7 @@ impl EventQueue {
     }
 
     /// Removes and returns the earliest event.
-    pub fn pop(&mut self) -> Option<Event> {
+    pub(crate) fn pop(&mut self) -> Option<Event> {
         self.heap.pop().map(|Reverse(e)| Event {
             time: e.time,
             core: e.core,
@@ -94,18 +94,8 @@ impl EventQueue {
     }
 
     /// The time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<Instant> {
+    pub(crate) fn peek_time(&self) -> Option<Instant> {
         self.heap.peek().map(|Reverse(e)| e.time)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -154,7 +144,5 @@ mod tests {
         assert_eq!(q.peek_time(), None);
         q.push(ev(42, EventKind::SchedTick { generation: 0 }));
         assert_eq!(q.peek_time(), Some(Instant::from_nanos(42)));
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
     }
 }

@@ -73,12 +73,10 @@ pub enum FaultClass {
     ThreadPanic,
 }
 
-/// Number of [`FaultClass`] variants.
-const NUM_FAULT_CLASSES: usize = 9;
-
+#[cfg(test)]
 impl FaultClass {
     /// All classes.
-    pub const ALL: [FaultClass; NUM_FAULT_CLASSES] = [
+    const ALL: [FaultClass; 9] = [
         FaultClass::TimerDelay,
         FaultClass::TimerMiss,
         FaultClass::CtxswDrop,
@@ -89,21 +87,6 @@ impl FaultClass {
         FaultClass::DrainSlow,
         FaultClass::ThreadPanic,
     ];
-
-    /// Short stable name (report/table rows).
-    pub const fn name(self) -> &'static str {
-        match self {
-            FaultClass::TimerDelay => "timer_delay",
-            FaultClass::TimerMiss => "timer_miss",
-            FaultClass::CtxswDrop => "ctxsw_drop",
-            FaultClass::CtxswLate => "ctxsw_late",
-            FaultClass::MsrFreeze => "msr_freeze",
-            FaultClass::RingSlot => "ring_slot",
-            FaultClass::DrainFail => "drain_fail",
-            FaultClass::DrainSlow => "drain_slow",
-            FaultClass::ThreadPanic => "thread_panic",
-        }
-    }
 }
 
 /// What to inject and how hard. Threaded through
@@ -257,7 +240,7 @@ impl FaultPlan {
     }
 
     /// The per-opportunity probability for `class`.
-    pub fn rate(&self, class: FaultClass) -> f64 {
+    pub(crate) fn rate(&self, class: FaultClass) -> f64 {
         match class {
             FaultClass::TimerDelay => self.timer_delay_rate,
             FaultClass::TimerMiss => self.timer_miss_rate,
@@ -290,7 +273,7 @@ impl Default for FaultPlan {
 /// Holds the plan, the derived seeded RNG and the per-`(core, msr)` freeze
 /// table. All methods are cheap no-ops when the plan is inert.
 #[derive(Debug)]
-pub struct FaultState {
+pub(crate) struct FaultState {
     plan: FaultPlan,
     rng: StdRng,
     /// `(core, msr) → (stuck value, remaining reads)`.
@@ -298,33 +281,27 @@ pub struct FaultState {
 }
 
 impl FaultState {
-    /// Builds the fault state for `plan`, deriving the fault RNG from the
-    /// machine `seed` (salted so it never shares a stream with the jitter
-    /// RNG).
-    pub fn new(plan: FaultPlan, seed: u64) -> Self {
+    /// The first attempt's fault state; see [`FaultState::for_attempt`].
+    #[cfg(test)]
+    fn new(plan: FaultPlan, seed: u64) -> Self {
         Self::for_attempt(plan, seed, 0)
     }
 
-    /// Like [`FaultState::new`], but additionally salts the RNG with a
-    /// restart `attempt` number. Attempt 0 is bit-identical to
-    /// [`FaultState::new`]; each later attempt gets a deterministic but
-    /// *different* fault stream. Without this, a supervisor restarting a
+    /// Builds the fault state for `plan`, deriving the fault RNG from the
+    /// machine `seed` (salted so it never shares a stream with the jitter
+    /// RNG) and the restart `attempt` number. Each attempt gets a
+    /// deterministic but *different* fault stream. Without this, a supervisor restarting a
     /// machine after an injected [`FaultClass::ThreadPanic`] would replay
     /// the identical draw sequence and crash at the same instant forever —
     /// with it, retries make progress while the whole run (including every
     /// crash point) stays a pure function of `(plan, seed)`.
-    pub fn for_attempt(plan: FaultPlan, seed: u64, attempt: u32) -> Self {
+    pub(crate) fn for_attempt(plan: FaultPlan, seed: u64, attempt: u32) -> Self {
         let salt = FAULT_SEED_SALT ^ u64::from(attempt).wrapping_mul(ATTEMPT_SEED_SALT);
         Self {
             plan,
             rng: StdRng::seed_from_u64(seed ^ salt),
             frozen: BTreeMap::new(),
         }
-    }
-
-    /// The plan in effect.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// Draws whether `class` fires at this opportunity. Never touches the
@@ -344,7 +321,7 @@ impl FaultState {
     /// function of `(plan, seed)` regardless of how many quiet
     /// opportunities pass between windows. With windowing off this is
     /// bit-identical to `fires`.
-    pub fn fires_at(&mut self, class: FaultClass, now_ns: u64) -> bool {
+    pub(crate) fn fires_at(&mut self, class: FaultClass, now_ns: u64) -> bool {
         if !self.plan.in_burst(now_ns) {
             return false;
         }
@@ -355,7 +332,7 @@ impl FaultState {
     /// returns its stuck value (consuming one remaining read); otherwise
     /// a freeze may start, in which case this read still observes `fresh`
     /// but the *next* [`FaultPlan::msr_freeze_reads`] reads stick at it.
-    pub fn filter_rdmsr(&mut self, core: usize, addr: u32, fresh: u64) -> u64 {
+    pub(crate) fn filter_rdmsr(&mut self, core: usize, addr: u32, fresh: u64) -> u64 {
         if let Some((stuck, remaining)) = self.frozen.get_mut(&(core, addr)) {
             let v = *stuck;
             *remaining -= 1;
@@ -536,13 +513,5 @@ mod tests {
         };
         assert_eq!(sparse, dense);
         assert!(sparse.iter().any(|&b| b) && sparse.iter().any(|&b| !b));
-    }
-
-    #[test]
-    fn every_class_is_listed_once_with_a_name() {
-        for (i, class) in FaultClass::ALL.iter().enumerate() {
-            assert!(!FaultClass::ALL[..i].contains(class), "duplicate {class:?}");
-            assert!(!class.name().is_empty());
-        }
     }
 }

@@ -35,7 +35,7 @@ impl JitterModel {
 
     /// Default model: ~1.2 µs mean slip, 400 ns sigma — consistent with the
     /// paper's observation that ~1% jitter at 100 µs periods is expected.
-    pub fn default_hrtimer() -> Self {
+    pub(crate) fn default_hrtimer() -> Self {
         Self {
             mean_ns: 1_200.0,
             sigma_ns: 400.0,
@@ -44,7 +44,7 @@ impl JitterModel {
 
     /// Draws a slip using the caller's RNG (kept external so the whole
     /// machine shares one seeded stream).
-    pub fn sample(&self, rng: &mut impl rand::Rng) -> Duration {
+    pub(crate) fn sample(&self, rng: &mut impl rand::Rng) -> Duration {
         if self.mean_ns == 0.0 && self.sigma_ns == 0.0 {
             return Duration::ZERO;
         }

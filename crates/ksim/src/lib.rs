@@ -36,16 +36,16 @@
 //! # Ok::<(), ksim::SimError>(())
 //! ```
 
-pub mod cost;
-pub mod device;
-pub mod event;
-pub mod faults;
-pub mod hrtimer;
-pub mod machine;
-pub mod process;
-pub mod time;
+mod cost;
+mod device;
+mod event;
+mod faults;
+mod hrtimer;
+mod machine;
+mod process;
+mod time;
 pub mod wire;
-pub mod workload;
+mod workload;
 
 pub use cost::CostModel;
 pub use device::{Device, DeviceId, Errno};

@@ -1199,11 +1199,6 @@ impl KernelCtx<'_> {
         self.machine.cores[self.core.0].now
     }
 
-    /// The machine's clock frequency.
-    pub fn freq(&self) -> CpuFreq {
-        self.machine.cfg.freq
-    }
-
     /// The cost model in effect.
     pub fn cost(&self) -> &CostModel {
         &self.machine.cfg.cost

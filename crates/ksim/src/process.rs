@@ -157,7 +157,7 @@ pub(crate) struct ProcessTable {
 }
 
 impl ProcessTable {
-    pub fn insert(
+    pub(crate) fn insert(
         &mut self,
         name: String,
         ppid: Option<Pid>,
@@ -191,20 +191,20 @@ impl ProcessTable {
         pid
     }
 
-    pub fn get(&self, pid: Pid) -> &Process {
+    pub(crate) fn get(&self, pid: Pid) -> &Process {
         &self.procs[pid.0 as usize - 1]
     }
 
-    pub fn get_mut(&mut self, pid: Pid) -> &mut Process {
+    pub(crate) fn get_mut(&mut self, pid: Pid) -> &mut Process {
         &mut self.procs[pid.0 as usize - 1]
     }
 
-    pub fn contains(&self, pid: Pid) -> bool {
+    pub(crate) fn contains(&self, pid: Pid) -> bool {
         pid.0 >= 1 && (pid.0 as usize) <= self.procs.len()
     }
 
     /// Pids of all live (non-exited) processes.
-    pub fn live_pids(&self) -> Vec<Pid> {
+    pub(crate) fn live_pids(&self) -> Vec<Pid> {
         self.procs
             .iter()
             .filter(|p| !p.info.is_exited())
@@ -213,7 +213,7 @@ impl ProcessTable {
     }
 
     /// Direct children of `pid`.
-    pub fn children_of(&self, pid: Pid) -> Vec<Pid> {
+    pub(crate) fn children_of(&self, pid: Pid) -> Vec<Pid> {
         self.procs
             .iter()
             .filter(|p| p.info.ppid == Some(pid))

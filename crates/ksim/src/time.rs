@@ -69,11 +69,6 @@ impl Duration {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000_000.0
     }
-
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, other: Duration) -> Duration {
-        Duration(self.0.saturating_sub(other.0))
-    }
 }
 
 impl Add<Duration> for Instant {
@@ -162,14 +157,14 @@ pub struct CpuFreq {
 
 impl CpuFreq {
     /// The paper's local testbed: Intel Core i7-920 @ 2.67 GHz.
-    pub const I7_920: CpuFreq = CpuFreq { hz: 2_670_000_000 };
+    pub(crate) const I7_920: CpuFreq = CpuFreq { hz: 2_670_000_000 };
 
     /// The paper's AWS verification machine: Xeon Platinum 8259CL @ 2.50 GHz.
-    pub const XEON_8259CL: CpuFreq = CpuFreq { hz: 2_500_000_000 };
+    pub(crate) const XEON_8259CL: CpuFreq = CpuFreq { hz: 2_500_000_000 };
 
     /// Converts a cycle count to wall time (rounding to nearest ns, min 1 ns
     /// for non-zero cycles so work always advances time).
-    pub fn cycles_to_duration(self, cycles: u64) -> Duration {
+    pub(crate) fn cycles_to_duration(self, cycles: u64) -> Duration {
         if cycles == 0 {
             return Duration::ZERO;
         }

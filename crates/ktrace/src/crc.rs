@@ -42,7 +42,7 @@ const TABLES: [[u32; 256]; 8] = {
 };
 
 /// CRC-32 of `bytes` (IEEE, init `0xFFFF_FFFF`, final XOR).
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let t = &TABLES;
     let mut crc = u32::MAX;
     let mut chunks = bytes.chunks_exact(8);

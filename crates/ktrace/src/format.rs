@@ -24,14 +24,14 @@ const FILE_MAGIC: [u8; 8] = *b"KTRACE1\n";
 /// Block magic, the resync anchor after corruption.
 const BLOCK_MAGIC: u32 = 0x4B54_424B; // "KTBK"
 /// Encoded block-header length, bytes.
-pub const BLOCK_HEADER_LEN: usize = 48;
+pub(crate) const BLOCK_HEADER_LEN: usize = 48;
 /// Number of counter lanes a sample carries (3 fixed + 4 programmable).
-pub const NUM_LANES: usize = NUM_FIXED + NUM_PROGRAMMABLE;
+pub(crate) const NUM_LANES: usize = NUM_FIXED + NUM_PROGRAMMABLE;
 
 /// Block kind: columnar sample payload.
-pub const KIND_SAMPLES: u8 = 1;
+pub(crate) const KIND_SAMPLES: u8 = 1;
 /// Block kind: end-of-stream ledger ([`StreamLedger`]).
-pub const KIND_LEDGER: u8 = 2;
+pub(crate) const KIND_LEDGER: u8 = 2;
 
 /// Why a trace could not be written or opened.
 #[derive(Debug)]
@@ -107,7 +107,7 @@ impl StreamMeta {
     /// # Errors
     ///
     /// [`TraceError::BadHeader`] on a short, foreign, or CRC-bad header.
-    pub fn decode_header(bytes: &[u8]) -> Result<(StreamMeta, usize), TraceError> {
+    pub(crate) fn decode_header(bytes: &[u8]) -> Result<(StreamMeta, usize), TraceError> {
         let bad = |msg: &str| TraceError::BadHeader(msg.to_string());
         if bytes.len() < 16 {
             return Err(bad("file shorter than the fixed header"));
@@ -182,7 +182,7 @@ impl StreamMeta {
 
 /// One block's header, the unit of integrity and indexing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlockHeader {
+pub(crate) struct BlockHeader {
     /// [`KIND_SAMPLES`] or [`KIND_LEDGER`].
     pub kind: u8,
     /// Bit `i` set ⇔ lane `i` (0‥2 fixed, 3‥6 pmc) has a nonzero value
@@ -206,7 +206,7 @@ pub struct BlockHeader {
 
 impl BlockHeader {
     /// Encodes the 48-byte header (trailing header CRC included).
-    pub fn encode(&self) -> [u8; BLOCK_HEADER_LEN] {
+    pub(crate) fn encode(&self) -> [u8; BLOCK_HEADER_LEN] {
         let mut out = [0u8; BLOCK_HEADER_LEN];
         out[0..4].copy_from_slice(&BLOCK_MAGIC.to_le_bytes());
         out[4] = self.kind;
@@ -228,7 +228,7 @@ impl BlockHeader {
     /// `None` when `bytes` is too short, the magic is wrong, the kind is
     /// unknown, or the header CRC does not match — callers treat all four
     /// as "no block here" and resynchronise.
-    pub fn decode(bytes: &[u8]) -> Option<BlockHeader> {
+    pub(crate) fn decode(bytes: &[u8]) -> Option<BlockHeader> {
         let b = bytes.get(..BLOCK_HEADER_LEN)?;
         let u32_at = |o: usize| u32::from_le_bytes([b[o], b[o + 1], b[o + 2], b[o + 3]]);
         let u64_at = |o: usize| {
@@ -319,7 +319,7 @@ impl StreamLedger {
     /// encode exactly as the pre-governor format did — old traces decode
     /// unchanged and zero-pressure governed traces stay byte-identical to
     /// ungoverned ones.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(Self::ENCODED_LEN + Self::GOVERNOR_LEN);
         out.extend_from_slice(&self.samples_written.to_le_bytes());
         out.push(self.status.target_alive as u8);
@@ -364,7 +364,7 @@ impl StreamLedger {
     /// Decodes a ledger payload; `None` unless it is exactly
     /// [`Self::ENCODED_LEN`] bytes (no governor section) or
     /// [`Self::ENCODED_LEN`]` + `[`Self::GOVERNOR_LEN`] bytes.
-    pub fn decode(bytes: &[u8]) -> Option<StreamLedger> {
+    pub(crate) fn decode(bytes: &[u8]) -> Option<StreamLedger> {
         if bytes.len() != Self::ENCODED_LEN && bytes.len() != Self::ENCODED_LEN + Self::GOVERNOR_LEN
         {
             return None;

@@ -39,25 +39,20 @@
 //! sequence the live run produced — store contents, metrics and drop
 //! accounting come out identical.
 
-pub mod codec;
-pub mod corrupt;
-pub mod crc;
-pub mod format;
-pub mod manifest;
-pub mod reader;
-pub mod replay;
-pub mod sink;
-pub mod varint;
-pub mod writer;
+mod codec;
+mod corrupt;
+mod crc;
+mod format;
+mod manifest;
+mod reader;
+mod replay;
+mod sink;
+mod varint;
+mod writer;
 
 pub use codec::{decode_block, encode_block_into, BlockSummary};
 pub use corrupt::{corrupt, CorruptionLog, CorruptionPlan};
-pub use crc::crc32;
-pub use format::{
-    BlockHeader, StreamHealth, StreamLedger, StreamMeta, TraceError, BLOCK_HEADER_LEN, KIND_LEDGER,
-    KIND_SAMPLES, NUM_LANES,
-};
-pub use manifest::Manifest;
+pub use format::{StreamHealth, StreamLedger, StreamMeta, TraceError};
 pub use reader::{RecoveredStream, RecoveryReport, TraceReader};
 pub use replay::{stream_file_name, TraceReplayer};
 pub use sink::SharedWriter;

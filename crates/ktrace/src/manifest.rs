@@ -37,7 +37,7 @@ const MANIFEST_EXT: &str = "manifest";
 
 /// What a sealed segment promised: its exact durable geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Manifest {
+pub(crate) struct Manifest {
     /// Sealed length of the trace file, bytes (header through ledger
     /// block inclusive). Bytes past this offset are post-seal garbage.
     pub file_len: u64,
@@ -52,7 +52,7 @@ impl Manifest {
     const ENCODED_LEN: usize = 36;
 
     /// Encodes the manifest with its trailing CRC.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(Self::ENCODED_LEN);
         out.extend_from_slice(MANIFEST_MAGIC);
         out.extend_from_slice(&self.file_len.to_le_bytes());
@@ -66,7 +66,7 @@ impl Manifest {
     /// Decodes a manifest; `None` unless `bytes` is exactly a valid,
     /// CRC-clean encoding. Truncated, padded or corrupted sidecars are
     /// all rejected — an invalid manifest promises nothing.
-    pub fn decode(bytes: &[u8]) -> Option<Manifest> {
+    pub(crate) fn decode(bytes: &[u8]) -> Option<Manifest> {
         if bytes.len() != Self::ENCODED_LEN || &bytes[..8] != MANIFEST_MAGIC {
             return None;
         }
@@ -104,7 +104,7 @@ impl Manifest {
     /// # Errors
     ///
     /// [`TraceError::Io`] if the write, sync or rename fails.
-    pub fn write_atomic(&self, trace: &Path) -> Result<(), TraceError> {
+    pub(crate) fn write_atomic(&self, trace: &Path) -> Result<(), TraceError> {
         let final_path = Self::path_for(trace);
         let mut tmp_os = final_path.as_os_str().to_os_string();
         tmp_os.push(".tmp");
@@ -122,7 +122,7 @@ impl Manifest {
     /// Loads the manifest governing `trace`, if a valid one exists.
     /// Absent, unreadable or corrupt sidecars all yield `None` — the
     /// caller falls back to scan recovery.
-    pub fn load(trace: &Path) -> Option<Manifest> {
+    pub(crate) fn load(trace: &Path) -> Option<Manifest> {
         let bytes = std::fs::read(Self::path_for(trace)).ok()?;
         Self::decode(&bytes)
     }

@@ -89,19 +89,6 @@ pub struct RecoveredStream {
     pub report: RecoveryReport,
 }
 
-impl RecoveredStream {
-    /// The samples re-grouped into their original drain batches — what
-    /// replay feeds back through the fleet channel.
-    pub fn batches(&self) -> impl Iterator<Item = &[Sample]> {
-        let mut at = 0usize;
-        self.batch_lens.iter().map(move |&len| {
-            let start = at;
-            at += len as usize;
-            &self.samples[start..at]
-        })
-    }
-}
-
 /// A trace image held in memory, ready to be recovered.
 #[derive(Debug, Clone)]
 pub struct TraceReader {
@@ -126,7 +113,7 @@ impl TraceReader {
     ///
     /// [`TraceError::Io`] if the file cannot be read,
     /// [`TraceError::BadHeader`] if it is not a ktrace segment.
-    pub fn open(path: &std::path::Path) -> Result<Self, TraceError> {
+    pub(crate) fn open(path: &std::path::Path) -> Result<Self, TraceError> {
         let mut bytes = std::fs::read(path)?;
         let manifest = crate::manifest::Manifest::load(path);
         if let Some(manifest) = manifest {
@@ -352,8 +339,7 @@ mod tests {
             assert_eq!(*s, sample(i as u64));
         }
         // Batches reconstruct in order.
-        let lens: Vec<usize> = rec.batches().map(|b| b.len()).collect();
-        assert!(lens.iter().all(|&l| l == 16 || l == 4));
+        assert!(rec.batch_lens.iter().all(|&l| l == 16 || l == 4));
     }
 
     #[test]

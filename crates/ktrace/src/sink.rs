@@ -20,8 +20,6 @@ use kleb::Sample;
 struct SharedInner<W: Write> {
     writer: TraceWriter<W>,
     deferred: Option<TraceError>,
-    batches_dropped: u64,
-    samples_dropped: u64,
 }
 
 /// A clonable handle to a [`TraceWriter`] shared between the capture
@@ -41,8 +39,6 @@ impl<W: Write> SharedWriter<W> {
         Self(Arc::new(Mutex::new(SharedInner {
             writer,
             deferred: None,
-            batches_dropped: 0,
-            samples_dropped: 0,
         })))
     }
 
@@ -55,30 +51,20 @@ impl<W: Write> SharedWriter<W> {
 
     /// Appends a batch, deferring (not propagating) any I/O error.
     /// After the first error the writer is wedged and further batches
-    /// are counted dropped.
+    /// are dropped.
     pub fn append_batch(&self, samples: &[Sample]) {
         let mut inner = self.lock();
         if inner.deferred.is_some() {
-            inner.batches_dropped += 1;
-            inner.samples_dropped += samples.len() as u64;
             return;
         }
         if let Err(e) = inner.writer.append_batch(samples) {
             inner.deferred = Some(e);
-            inner.batches_dropped += 1;
-            inner.samples_dropped += samples.len() as u64;
         }
     }
 
     /// Samples appended so far (flushed or pending).
     pub fn samples_written(&self) -> u64 {
         self.lock().writer.samples_written()
-    }
-
-    /// `(batches, samples)` dropped after a deferred error.
-    pub fn dropped(&self) -> (u64, u64) {
-        let inner = self.lock();
-        (inner.batches_dropped, inner.samples_dropped)
     }
 
     /// Seals the stream with `ledger`, surfacing any deferred error
@@ -88,7 +74,8 @@ impl<W: Write> SharedWriter<W> {
     ///
     /// The first deferred append error if one occurred, otherwise
     /// whatever [`TraceWriter::finish`] returns.
-    pub fn finish(&self, ledger: &StreamLedger) -> Result<(), TraceError> {
+    #[cfg(test)]
+    fn finish(&self, ledger: &StreamLedger) -> Result<(), TraceError> {
         let mut inner = self.lock();
         if let Some(e) = inner.deferred.take() {
             return Err(e);
@@ -98,7 +85,7 @@ impl<W: Write> SharedWriter<W> {
 }
 
 impl SharedWriter<std::fs::File> {
-    /// Crash-consistent seal: like [`SharedWriter::finish`] but via
+    /// Crash-consistent seal, surfacing any deferred error first: via
     /// [`TraceWriter::seal_durable`], so the segment is `fsync`ed and
     /// its sidecar manifest committed by atomic rename. If the seal
     /// itself fails the manifest is never written — the tail stays
@@ -172,9 +159,6 @@ mod tests {
             let batch: Vec<Sample> = (chunk * 4..chunk * 4 + 4).map(sample).collect();
             shared.append_batch(&batch); // must not panic or propagate
         }
-        let (batches, samples) = shared.dropped();
-        assert!(batches >= 1, "post-error batches counted");
-        assert!(samples >= 4);
         assert!(matches!(
             shared.finish(&StreamLedger::default()),
             Err(TraceError::Io(_))

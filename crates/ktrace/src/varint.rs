@@ -8,7 +8,7 @@
 //! overflow-panic.
 
 /// Appends `v` as an LEB128 varint.
-pub fn put_u64(out: &mut Vec<u8>, mut v: u64) {
+pub(crate) fn put_u64(out: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {
         out.push((v as u8 & 0x7F) | 0x80);
         v >>= 7;
@@ -20,7 +20,7 @@ pub fn put_u64(out: &mut Vec<u8>, mut v: u64) {
 ///
 /// Returns `None` on truncated input or a varint longer than the 10
 /// bytes a `u64` needs (corrupt data, not a valid encoding).
-pub fn get_u64(bytes: &[u8], pos: &mut usize) -> Option<u64> {
+pub(crate) fn get_u64(bytes: &[u8], pos: &mut usize) -> Option<u64> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
     loop {
@@ -38,24 +38,24 @@ pub fn get_u64(bytes: &[u8], pos: &mut usize) -> Option<u64> {
 }
 
 /// Zigzag-folds a signed value so small magnitudes encode small.
-pub fn zigzag(v: i64) -> u64 {
+pub(crate) fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
 /// Inverse of [`zigzag`].
-pub fn unzigzag(v: u64) -> i64 {
+pub(crate) fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
 /// The signed difference `b - a` over `u64`, as wrapping `i64` — the
 /// delta the columns store. Exact for all real counter streams (deltas
 /// beyond ±2^63 wrap, and [`apply_delta`] wraps identically back).
-pub fn delta(a: u64, b: u64) -> i64 {
+pub(crate) fn delta(a: u64, b: u64) -> i64 {
     b.wrapping_sub(a) as i64
 }
 
 /// Inverse of [`delta`]: reconstructs `b` from `a` and the stored delta.
-pub fn apply_delta(a: u64, d: i64) -> u64 {
+pub(crate) fn apply_delta(a: u64, d: i64) -> u64 {
     a.wrapping_add(d as u64)
 }
 

@@ -4,13 +4,13 @@
 //! flushes it to the underlying sink whenever a drain-batch boundary
 //! finds the block at or past its target size — so a block always holds
 //! whole batches (replay fidelity) and resident memory is bounded by
-//! `block_target + largest batch`, never by trace length. [`sync`]
-//! establishes an explicit durability point: everything appended before
-//! it survives a crash after it. [`finish`] seals the stream with the
-//! [`StreamLedger`] block.
+//! `block_target + largest batch`, never by trace length. [`finish`]
+//! seals the stream with the [`StreamLedger`] block; [`seal_durable`]
+//! also `fsync`s the segment and commits its manifest, so everything
+//! appended before it survives a crash after it.
 //!
-//! [`sync`]: TraceWriter::sync
 //! [`finish`]: TraceWriter::finish
+//! [`seal_durable`]: TraceWriter::seal_durable
 
 use std::io::Write;
 
@@ -68,13 +68,8 @@ impl<W: Write> TraceWriter<W> {
     }
 
     /// Samples appended so far (flushed or pending).
-    pub fn samples_written(&self) -> u64 {
+    pub(crate) fn samples_written(&self) -> u64 {
         self.samples_written
-    }
-
-    /// Blocks flushed so far.
-    pub fn blocks_written(&self) -> u64 {
-        self.blocks_written
     }
 
     /// Appends one drain batch. Empty batches are ignored (the module
@@ -122,18 +117,6 @@ impl<W: Write> TraceWriter<W> {
         self.blocks_written += 1;
         self.pending.clear();
         self.pending_batches.clear();
-        Ok(())
-    }
-
-    /// Flushes the in-progress block and the sink's own buffers — an
-    /// explicit durability point for crash tolerance.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceError::Io`] on a failed write or flush.
-    pub fn sync(&mut self) -> Result<(), TraceError> {
-        self.flush_block()?;
-        self.sink.flush()?;
         Ok(())
     }
 
@@ -207,7 +190,7 @@ impl TraceWriter<std::fs::File> {
     ///
     /// [`TraceError::Io`] on a failed write, sync or manifest rename;
     /// [`TraceError::Finished`] if already finished.
-    pub fn seal_durable(&mut self, ledger: &StreamLedger) -> Result<(), TraceError> {
+    pub(crate) fn seal_durable(&mut self, ledger: &StreamLedger) -> Result<(), TraceError> {
         self.finish(ledger)?;
         self.sink.sync_data()?;
         if let Some(path) = self.path.clone() {
@@ -255,10 +238,10 @@ mod tests {
             w.append_batch(&batch).unwrap();
         }
         // 6 < 10 pending after batches 1, 3, 5; 12 ≥ 10 flushes after 2 and 4.
-        assert_eq!(w.blocks_written(), 2);
+        assert_eq!(w.blocks_written, 2);
         assert_eq!(w.samples_written(), 30);
         w.finish(&StreamLedger::default()).unwrap();
-        assert_eq!(w.blocks_written(), 4, "tail block + ledger");
+        assert_eq!(w.blocks_written, 4, "tail block + ledger");
     }
 
     #[test]
@@ -321,6 +304,6 @@ mod tests {
         w.append_batch(&[]).unwrap();
         assert_eq!(w.samples_written(), 0);
         w.finish(&StreamLedger::default()).unwrap();
-        assert_eq!(w.blocks_written(), 1, "just the ledger");
+        assert_eq!(w.blocks_written, 1, "just the ledger");
     }
 }

@@ -21,7 +21,7 @@ impl CacheConfig {
     /// Panics if `line_size` or `sets` is not a power of two, if
     /// `line_size` is below 4 (a way keeps its valid and dirty flags in the
     /// line-offset bits of its address), or if `ways` is 0.
-    pub fn new(line_size: u32, sets: u32, ways: u32) -> Self {
+    pub(crate) fn new(line_size: u32, sets: u32, ways: u32) -> Self {
         let config = Self {
             line_size,
             sets,
@@ -321,6 +321,7 @@ impl Sets {
     }
 
     /// Invalidates everything (e.g. simulating `wbinvd`).
+    #[cfg(test)]
     pub(crate) fn flush_all(&mut self, stats: &mut CacheStats) {
         for way in &mut self.ways {
             if way.word != 0 {
@@ -332,21 +333,26 @@ impl Sets {
     }
 
     /// Number of currently valid lines.
+    #[cfg(test)]
     fn resident_lines(&self) -> usize {
         self.ways.iter().filter(|w| w.word != 0).count()
     }
 }
 
-/// One set-associative cache level.
+/// One set-associative cache level, for tests: the unit tests below and
+/// the reference comparison drive `Sets` through it, while the hierarchy
+/// runs on `Sets` directly.
 ///
 /// Addresses are byte addresses; the cache works on aligned lines
 /// internally.
+#[cfg(test)]
 #[derive(Debug, Clone)]
-pub struct Cache {
+pub(crate) struct Cache {
     sets: Sets,
     stats: CacheStats,
 }
 
+#[cfg(test)]
 impl Cache {
     /// Creates an empty cache with the given geometry.
     ///
@@ -354,25 +360,19 @@ impl Cache {
     ///
     /// Panics on a geometry [`CacheConfig::new`] would reject, also when
     /// `config` was built as a struct literal.
-    pub fn new(config: CacheConfig) -> Self {
+    pub(crate) fn new(config: CacheConfig) -> Self {
         Self {
             sets: Sets::new(config),
             stats: CacheStats::default(),
         }
     }
 
-    /// The cache geometry.
-    pub fn config(&self) -> CacheConfig {
-        self.sets.config
-    }
-
     /// Cumulative statistics.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         self.stats
     }
 
     /// Resets statistics without touching cache contents.
-    #[cfg(test)]
     pub(crate) fn reset_stats(&mut self) {
         self.stats = CacheStats::default();
     }
@@ -380,7 +380,7 @@ impl Cache {
     /// Looks up `addr`; returns `true` on hit. On hit the line's LRU stamp is
     /// refreshed and, if `write`, the line is marked dirty. **Does not fill**
     /// on miss — the hierarchy decides fills so it can model inclusion.
-    pub fn probe(&mut self, addr: u64, write: bool) -> bool {
+    pub(crate) fn probe(&mut self, addr: u64, write: bool) -> bool {
         self.sets.lookup(addr, dirty_if(write), &mut self.stats) == Lookup::Hit
     }
 
@@ -388,7 +388,7 @@ impl Cache {
     ///
     /// Returns `true` on hit. Use [`Hierarchy`](crate::Hierarchy) for
     /// multi-level behaviour; this is for using one cache level directly.
-    pub fn access(&mut self, addr: u64, write: bool) -> bool {
+    pub(crate) fn access(&mut self, addr: u64, write: bool) -> bool {
         match self.sets.lookup(addr, dirty_if(write), &mut self.stats) {
             Lookup::Hit => true,
             Lookup::Miss(slot) => {
@@ -400,24 +400,24 @@ impl Cache {
     }
 
     /// Checks residency without updating LRU or statistics.
-    pub fn contains(&self, addr: u64) -> bool {
+    pub(crate) fn contains(&self, addr: u64) -> bool {
         self.sets.contains(addr)
     }
 
     /// Invalidates the line containing `addr` (the `clflush` primitive).
     ///
     /// Returns `true` if a line was present; dirty lines count a writeback.
-    pub fn flush_line(&mut self, addr: u64) -> bool {
+    pub(crate) fn flush_line(&mut self, addr: u64) -> bool {
         self.sets.remove(addr, &mut self.stats).is_some()
     }
 
     /// Invalidates everything (e.g. simulating `wbinvd`).
-    pub fn flush_all(&mut self) {
+    pub(crate) fn flush_all(&mut self) {
         self.sets.flush_all(&mut self.stats);
     }
 
     /// Number of currently valid lines.
-    pub fn resident_lines(&self) -> usize {
+    pub(crate) fn resident_lines(&self) -> usize {
         self.sets.resident_lines()
     }
 }
@@ -425,6 +425,7 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn tiny() -> Cache {
         // 2 sets x 2 ways x 64B lines = 256 B.
@@ -714,5 +715,39 @@ mod tests {
         c.access(0x0, false);
         assert!((c.stats().miss_ratio() - 0.5).abs() < 1e-12);
         assert_eq!(CacheStats::default().miss_ratio(), 0.0);
+    }
+
+    proptest! {
+        /// Residency never exceeds capacity and a just-filled line is resident.
+        #[test]
+        fn capacity_and_residency(addrs in proptest::collection::vec(0u64..(1 << 14), 1..300)) {
+            let config = CacheConfig::new(64, 4, 2);
+            let mut cache = Cache::new(config);
+            let capacity_lines = (config.sets * config.ways) as usize;
+            for &a in &addrs {
+                cache.access(a, false);
+                prop_assert!(cache.contains(a), "just-touched line resident");
+                prop_assert!(cache.resident_lines() <= capacity_lines);
+            }
+            let s = cache.stats();
+            prop_assert_eq!(s.hits + s.misses, s.accesses);
+        }
+
+        /// Writes then evictions conserve the writeback count: a dirty line is
+        /// written back at most once per eviction/flush.
+        #[test]
+        fn writeback_bounded_by_writes(
+            writes in proptest::collection::vec(0u64..(1 << 13), 1..200),
+        ) {
+            let mut cache = Cache::new(CacheConfig::new(64, 2, 2));
+            for &a in &writes {
+                cache.access(a, true);
+            }
+            cache.flush_all();
+            let s = cache.stats();
+            // Each distinct dirty line can be written back at most once per
+            // time it was made dirty; total writebacks never exceed writes.
+            prop_assert!(s.writebacks <= writes.len() as u64);
+        }
     }
 }

@@ -15,7 +15,7 @@ pub enum AccessKind {
 
 impl AccessKind {
     /// True for [`AccessKind::Write`].
-    pub const fn is_write(self) -> bool {
+    pub(crate) const fn is_write(self) -> bool {
         matches!(self, AccessKind::Write)
     }
 }
@@ -205,9 +205,8 @@ impl Private {
 /// cores whose bit the line carries. A one-core hierarchy sets no bits.
 ///
 /// [`Hierarchy::new`] builds one core, and the plain methods
-/// ([`Hierarchy::access`], [`Hierarchy::run`], [`Hierarchy::clflush`],
-/// [`Hierarchy::stats`], [`Hierarchy::level_stats`]) act for and report
-/// core 0. [`Hierarchy::with_cores`] builds several; the `_on` methods and
+/// ([`Hierarchy::access`], [`Hierarchy::clflush`], [`Hierarchy::stats`])
+/// act for and report core 0. [`Hierarchy::with_cores`] builds several; the `_on` methods and
 /// [`Hierarchy::core`] name the core.
 #[derive(Debug, Clone)]
 pub struct Hierarchy {
@@ -257,11 +256,6 @@ impl Hierarchy {
             sharers: (0..cores).map(sharer).fold(0, |all, bit| all | bit),
             latency: config.latency,
         }
-    }
-
-    /// The paper's Core i7-920 geometry.
-    pub fn i7_920() -> Self {
-        Self::new(HierarchyConfig::i7_920())
     }
 
     /// Small geometry for tests.
@@ -348,7 +342,8 @@ impl Hierarchy {
     }
 
     /// Runs `pattern` on core 0; see [`Hierarchy::run_on`].
-    pub fn run(&mut self, pattern: &AccessPattern) {
+    #[cfg(test)]
+    pub(crate) fn run(&mut self, pattern: &AccessPattern) {
         self.run_on(0, pattern);
     }
 
@@ -396,7 +391,8 @@ impl Hierarchy {
 
     /// Flushes all levels entirely (`wbinvd` on core 0, which counts the
     /// LLC's flushes).
-    pub fn flush_all(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn flush_all(&mut self) {
         for private in &mut self.cores {
             private.l1d.flush_all(&mut private.stats.l1d);
             private.l2.flush_all(&mut private.stats.l2);
@@ -420,7 +416,8 @@ impl Hierarchy {
     }
 
     /// Core 0's per-level statistics; see [`CoreView::level_stats`].
-    pub fn level_stats(&self) -> (CacheStats, CacheStats, CacheStats) {
+    #[cfg(test)]
+    pub(crate) fn level_stats(&self) -> (CacheStats, CacheStats, CacheStats) {
         self.core(0).level_stats()
     }
 

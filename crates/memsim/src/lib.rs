@@ -16,7 +16,7 @@
 //!   so an attacker can distinguish cached from uncached lines by timing
 //!   exactly as the real attack does.
 //!
-//! The default [`Hierarchy::i7_920`] geometry matches the paper's local
+//! The default [`HierarchyConfig::i7_920`] geometry matches the paper's local
 //! testbed (Intel Core i7-920: 32 KiB L1d, 256 KiB L2, 8 MiB shared LLC).
 //! [`Hierarchy::new`] builds one core; [`Hierarchy::with_cores`] builds
 //! several over one LLC.
@@ -81,9 +81,9 @@
 //! # Example
 //!
 //! ```
-//! use memsim::{Hierarchy, AccessKind};
+//! use memsim::{AccessKind, Hierarchy, HierarchyConfig};
 //!
-//! let mut mem = Hierarchy::i7_920();
+//! let mut mem = Hierarchy::new(HierarchyConfig::i7_920());
 //! let miss = mem.access(0x1000, AccessKind::Read);
 //! assert!(!miss.llc_hit); // cold miss goes to memory
 //! let hit = mem.access(0x1000, AccessKind::Read);
@@ -97,7 +97,7 @@ mod pattern;
 #[cfg(test)]
 mod reference;
 
-pub use cache::{Cache, CacheConfig, CacheStats};
+pub use cache::{CacheConfig, CacheStats};
 pub use hierarchy::{
     AccessKind, AccessResult, CoreView, Hierarchy, HierarchyConfig, LatencyModel, MemStats,
 };

@@ -301,7 +301,8 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
-    use crate::{AccessPattern, Cache, Hierarchy};
+    use crate::cache::Cache;
+    use crate::{AccessPattern, Hierarchy};
 
     /// One step of a random interleaving; the first field of an access, a
     /// run and a `clflush` is the core that issues it.

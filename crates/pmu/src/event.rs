@@ -151,7 +151,7 @@ impl HwEvent {
 
     /// Index of this event into an [`EventCounts`] array.
     #[inline]
-    pub const fn index(self) -> usize {
+    pub(crate) const fn index(self) -> usize {
         self as usize
     }
 
@@ -234,16 +234,6 @@ impl EventCounts {
             out.counts[i] = self.counts[i].saturating_sub(other.counts[i]);
         }
         out
-    }
-
-    /// True if every slot is zero.
-    pub fn is_empty(&self) -> bool {
-        self.counts.iter().all(|&c| c == 0)
-    }
-
-    /// Total occurrences across all event kinds.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
     }
 
     /// Iterates over `(event, count)` pairs with non-zero counts.
@@ -335,7 +325,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.get(HwEvent::Load), 15);
         assert_eq!(a.get(HwEvent::Store), 7);
-        assert_eq!(a.total(), 22);
     }
 
     #[test]
@@ -365,11 +354,5 @@ mod tests {
             .into_iter()
             .collect();
         assert_eq!(c[HwEvent::Load], 5);
-    }
-
-    #[test]
-    fn empty_batch_reports_empty() {
-        assert!(EventCounts::new().is_empty());
-        assert!(!EventCounts::new().with(HwEvent::FpOps, 1).is_empty());
     }
 }

@@ -33,14 +33,13 @@ const EN_BIT: u64 = 1 << 22;
 ///     .int_enable(true)
 ///     .enabled(true);
 /// assert!(sel.is_enabled());
-/// assert_eq!(sel.event(), Some(HwEvent::BranchMiss));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct EventSel(u64);
 
 impl EventSel {
     /// An all-zero (disabled) event select.
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Self(0)
     }
 
@@ -63,7 +62,7 @@ impl EventSel {
     }
 
     /// The `(event, umask)` encoding currently programmed.
-    pub const fn code(self) -> EventCode {
+    pub(crate) const fn code(self) -> EventCode {
         EventCode {
             event: (self.0 & 0xFF) as u8,
             umask: ((self.0 >> 8) & 0xFF) as u8,
@@ -72,7 +71,7 @@ impl EventSel {
 
     /// The decoded [`HwEvent`], if the programmed code is one this model
     /// implements.
-    pub fn event(self) -> Option<HwEvent> {
+    pub(crate) fn event(self) -> Option<HwEvent> {
         HwEvent::from_code(self.code())
     }
 
@@ -120,7 +119,7 @@ impl EventSel {
     }
 
     /// True if the INT bit is set.
-    pub const fn int_enabled(self) -> bool {
+    pub(crate) const fn int_enabled(self) -> bool {
         self.0 & INT_BIT != 0
     }
 

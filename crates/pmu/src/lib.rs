@@ -48,12 +48,12 @@
 //! # Ok::<(), pmu::PmuError>(())
 //! ```
 
-pub mod counter;
+mod counter;
 pub mod event;
-pub mod eventsel;
+mod eventsel;
 pub mod msr;
 mod multiplex;
-pub mod protocol;
+mod protocol;
 #[cfg(test)]
 mod reference;
 mod unit;
@@ -62,5 +62,5 @@ pub use counter::{Counter, COUNTER_WIDTH_BITS};
 pub use event::{EventCode, EventCounts, HwEvent, Privilege, ALL_EVENTS};
 pub use eventsel::EventSel;
 pub use multiplex::{MultiplexEstimate, Multiplexer};
-pub use protocol::{ProtocolChecker, ProtocolViolation};
+pub use protocol::ProtocolViolation;
 pub use unit::{Pmu, PmuError, NUM_FIXED, NUM_PROGRAMMABLE};

@@ -86,7 +86,7 @@ impl fmt::Display for ProtocolViolation {
 /// Tracks the MSR access trace of one PMU and records protocol
 /// violations. See the [module documentation](self) for the rule set.
 #[derive(Debug, Clone, Default)]
-pub struct ProtocolChecker {
+pub(crate) struct ProtocolChecker {
     /// Event select programmed with a valid event and its EN bit.
     selected_pmc: [bool; NUM_PROGRAMMABLE],
     /// Fixed-control field has at least one ring-enable bit.
@@ -103,12 +103,12 @@ pub struct ProtocolChecker {
 
 impl ProtocolChecker {
     /// A fresh checker with no trace observed.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Every violation recorded so far, in first-occurrence order.
-    pub fn violations(&self) -> &[ProtocolViolation] {
+    pub(crate) fn violations(&self) -> &[ProtocolViolation] {
         &self.violations
     }
 

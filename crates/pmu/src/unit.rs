@@ -259,15 +259,6 @@ impl Pmu {
         }
     }
 
-    /// The event-select currently programmed on programmable counter `n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n >= NUM_PROGRAMMABLE`.
-    pub fn eventsel(&self, n: usize) -> EventSel {
-        self.evtsel[n]
-    }
-
     fn pmc_active(&self, n: usize) -> bool {
         self.evtsel[n].is_enabled() && (self.global_ctrl & msr::global_ctrl_pmc_bit(n)) != 0
     }

@@ -29,7 +29,6 @@ const BLOCK_CYCLES: u64 = 50_000;
 pub struct Dgemm {
     n: u64,
     blocks_remaining: u64,
-    total_blocks: u64,
     rng: StdRng,
     noise: f64,
     /// Per-run systematic speed factor (drawn once per instance; models
@@ -54,7 +53,6 @@ impl Dgemm {
         Self {
             n,
             blocks_remaining: total_blocks,
-            total_blocks,
             rng,
             noise,
             run_factor,
@@ -62,19 +60,10 @@ impl Dgemm {
         }
     }
 
-    /// The paper-scale problem: ≈ 90 ms of simulated runtime.
-    pub fn paper(seed: u64) -> Self {
-        Self::new(1600, seed, 0.004)
-    }
-
     /// Total floating-point operations: `2 n^3`.
-    pub fn flops(&self) -> u64 {
+    #[cfg(test)]
+    fn flops(&self) -> u64 {
         2 * self.n * self.n * self.n
-    }
-
-    /// Fraction of work completed.
-    pub fn progress(&self) -> f64 {
-        1.0 - self.blocks_remaining as f64 / self.total_blocks as f64
     }
 }
 
@@ -160,13 +149,5 @@ mod tests {
         // Block quantization rounds up by at most one block of flops.
         let per_block = (BLOCK_CYCLES as f64 * FLOPS_PER_CYCLE) as u64;
         assert!(got >= expected && got < expected + per_block);
-    }
-
-    #[test]
-    fn progress_runs_zero_to_one() {
-        let mut w = Dgemm::new(64, 1, 0.0);
-        assert_eq!(w.progress(), 0.0);
-        while w.next(&ItemResult::None).is_some() {}
-        assert!((w.progress() - 1.0).abs() < 1e-9);
     }
 }

@@ -42,7 +42,7 @@ impl HeartbleedServer {
     /// A server answering `requests` heartbeats, with every
     /// `exploit_every`-th request being a malicious over-read
     /// (`None` = benign traffic only).
-    pub fn new(requests: u64, exploit_every: Option<u64>, seed: u64) -> Self {
+    pub(crate) fn new(requests: u64, exploit_every: Option<u64>, seed: u64) -> Self {
         assert!(
             exploit_every != Some(0),
             "exploit interval must be non-zero"

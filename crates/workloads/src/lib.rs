@@ -25,7 +25,7 @@
 //! - [`Synthetic`]: a fully tunable event generator for ablations.
 
 mod dgemm;
-pub mod docker;
+mod docker;
 mod heartbleed;
 mod linpack;
 mod matmul;

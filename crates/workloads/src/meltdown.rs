@@ -54,7 +54,7 @@ pub struct SecretPrinter {
 
 impl SecretPrinter {
     /// A printer that outputs the secret `repeats` times.
-    pub fn new(repeats: u64, seed: u64) -> Self {
+    pub(crate) fn new(repeats: u64, seed: u64) -> Self {
         Self {
             remaining: repeats * SECRET.len() as u64,
             seed,
@@ -115,8 +115,8 @@ enum AttackPhase {
 /// recovery rounds that re-extract the secret from cache timing — which is
 /// why the paper observes the attacked program running longer and producing
 /// many more samples (Fig. 7). The recovered bytes are exposed via
-/// [`recovered`](Self::recovered) so tests can verify the attack genuinely
-/// works against the cache model.
+/// [`into_shared`](Self::into_shared) so tests can verify the attack
+/// genuinely works against the cache model.
 #[derive(Debug, Clone)]
 pub struct MeltdownAttack {
     repeats: u64,
@@ -155,12 +155,6 @@ impl MeltdownAttack {
     /// [`SecretPrinter::paper`], with a recovery round before every second print.
     pub fn paper(seed: u64) -> Self {
         Self::with_repeats(220, 2, seed)
-    }
-
-    /// The most recently recovered secret (complete after the workload
-    /// exits).
-    pub fn recovered(&self) -> &[u8] {
-        &self.recovered
     }
 
     /// Wraps this attack so its recovered bytes land in a shared buffer

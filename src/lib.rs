@@ -13,10 +13,9 @@
 //! - [`baselines`] — perf stat / perf record / PAPI / LiMiT;
 //! - [`analysis`] — statistics, metrics, phase/anomaly detection;
 //! - [`fleet`] — many monitors, one collector: the scaled-out pipeline,
-//!   supervision, and the closed-loop sampling-rate [`fleet::governor`];
-//! - [`ktrace`] — columnar trace store with deterministic record/replay;
-//! - [`kchan`] — lock-free SPSC sample rings; no ring sits on the fleet's
-//!   path, which ingests each machine's samples at join.
+//!   supervision, and the closed-loop sampling-rate governor
+//!   ([`fleet::GovernorPolicy`]);
+//! - [`ktrace`] — columnar trace store with deterministic record/replay.
 //!
 //! See the repository README for a quickstart and EXPERIMENTS.md for the
 //! paper-vs-measured record.
@@ -58,7 +57,6 @@
 pub use analysis;
 pub use baselines;
 pub use fleet;
-pub use kchan;
 pub use kleb;
 pub use ksim;
 pub use ktrace;

@@ -1,6 +1,6 @@
 //! End-to-end MSR-protocol audit: every tool in the Fig. 9 comparison
 //! must drive the PMU through the documented register protocol. The
-//! machine runs with the runtime [`pmu::ProtocolChecker`] attached to
+//! machine runs with the PMU's runtime protocol checker attached to
 //! every core; a clean run is the dynamic counterpart of klint's static
 //! `M1` rule.
 

@@ -1,9 +1,10 @@
 //! Fleet-level rate governance: one overhead budget, many machines.
 //!
-//! The per-machine AIMD loop ([`kleb::RateGovernor`]) holds each stream
-//! inside its own ring's capacity; this module adds the fleet view the
-//! paper's deployment story needs — an *aggregate* sampling budget that
-//! the collector splits across machines before any of them starts.
+//! The per-machine AIMD loop (kleb's rate governor, set through
+//! [`kleb::RatePolicy`]) holds each stream inside its own ring's
+//! capacity; this module adds the fleet view the paper's deployment
+//! story needs — an *aggregate* sampling budget that the collector
+//! splits across machines before any of them starts.
 //!
 //! Two pieces:
 //!

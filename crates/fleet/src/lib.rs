@@ -43,7 +43,7 @@
 
 mod detect;
 mod governor;
-mod ingest;
+pub mod ingest;
 pub(crate) mod ksync;
 mod metrics;
 mod runner;

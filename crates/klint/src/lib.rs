@@ -6,9 +6,10 @@
 //! bit-for-bit deterministic, and tools must speak the documented MSR
 //! protocol. `klint` walks the workspace sources with a hand-rolled lexer
 //! ([`lexer`]) and enforces both as token-level rules ([`rules`]), with
-//! per-site suppressions and a checked-in baseline ([`baseline`]) so
-//! existing debt is frozen rather than ignored. Its dynamic twin is
-//! `pmu::ProtocolChecker`, which validates the MSR access trace at runtime.
+//! per-site suppressions and a checked-in baseline ([`Baseline`]) so
+//! existing debt is frozen rather than ignored. Its dynamic twin is the
+//! PMU's protocol checker (`Pmu::enable_protocol_checker`), which
+//! validates the MSR access trace at runtime.
 //!
 //! No dependencies, by design — the linter must never be the thing that
 //! drags a supply chain into the build (and the container is offline).

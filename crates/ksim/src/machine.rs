@@ -72,7 +72,7 @@ pub struct MachineConfig {
     /// this machine after a crash bumps it so retries do not replay the
     /// identical fault (and crash) sequence.
     pub fault_attempt: u32,
-    /// Attach a [`pmu::ProtocolChecker`] to every core's PMU, recording
+    /// Attach the PMU's protocol checker to every core's PMU, recording
     /// MSR-protocol violations for [`Machine::protocol_violations`]. Off by
     /// default; tests that validate tool correctness turn it on.
     pub check_msr_protocol: bool,

@@ -290,11 +290,12 @@ impl FaultState {
     /// Builds the fault state for `plan`, deriving the fault RNG from the
     /// machine `seed` (salted so it never shares a stream with the jitter
     /// RNG) and the restart `attempt` number. Each attempt gets a
-    /// deterministic but *different* fault stream. Without this, a supervisor restarting a
-    /// machine after an injected [`FaultClass::ThreadPanic`] would replay
-    /// the identical draw sequence and crash at the same instant forever —
-    /// with it, retries make progress while the whole run (including every
-    /// crash point) stays a pure function of `(plan, seed)`.
+    /// deterministic but *different* fault stream. Without this, a
+    /// supervisor restarting a machine after an injected
+    /// [`FaultClass::ThreadPanic`] would replay the identical draw sequence
+    /// and crash at the same instant forever — with it, retries make
+    /// progress while the whole run (including every crash point) stays a
+    /// pure function of `(plan, seed)`.
     pub(crate) fn for_attempt(plan: FaultPlan, seed: u64, attempt: u32) -> Self {
         let salt = FAULT_SEED_SALT ^ u64::from(attempt).wrapping_mul(ATTEMPT_SEED_SALT);
         Self {
@@ -513,5 +514,12 @@ mod tests {
         };
         assert_eq!(sparse, dense);
         assert!(sparse.iter().any(|&b| b) && sparse.iter().any(|&b| !b));
+    }
+
+    #[test]
+    fn every_class_is_listed_once() {
+        for (i, class) in FaultClass::ALL.iter().enumerate() {
+            assert!(!FaultClass::ALL[..i].contains(class), "duplicate {class:?}");
+        }
     }
 }
